@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from multiprocessing import Pool
 
 from . import formula as fm
 from .context import CapExceededError, DegreeError, context
@@ -201,13 +201,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _check_coord(task) -> tuple[str, int, tuple]:
-    v, plane, x, y, max_worlds, sample, seed = task
-    rep = correspondence_check(v, SystemCoord(plane, x, y), max_worlds,
-                               sample=sample, seed=seed)
-    return str(rep.coord), rep.frames_checked, rep.violations
-
-
 def cmd_frames(args) -> int:
     if not args.correspondence:
         print("nothing to do: pass --correspondence", file=sys.stderr)
@@ -220,16 +213,12 @@ def cmd_frames(args) -> int:
             return 1
         coords = [SystemCoord(args.plane, _coord_value(args.x),
                               _coord_value(args.y))]
-    tasks = [(args.v, c.plane, c.x, c.y, args.max_worlds, args.sample, args.seed)
-             for c in coords]
-    if args.threads > 1:
-        with Pool(args.threads) as pool:
-            results = pool.map(_check_coord, tasks)
-    else:
-        results = [_check_coord(t) for t in tasks]
-    report = [{"coord": coord, "frames_checked": checked,
-               "violations": list(viols)}
-              for coord, checked, viols in results]
+    reports = [correspondence_check(args.v, c, args.max_worlds,
+                                    sample=args.sample, seed=args.seed)
+               for c in coords]
+    report = [{"coord": str(r.coord), "frames_checked": r.frames_checked,
+               "violations": list(r.violations)}
+              for r in reports]
     bad = sum(len(r["violations"]) for r in report)
     if args.format == "json":
         print(json.dumps(report))
@@ -269,11 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                                              "non-iterative normal modal logics")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, formats=("text", "json"), **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=("text", "json", "dot"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         return p
 
     p = add("normalize", cmd_normalize, help="formula to minmatrix")
@@ -291,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--matrices", action="store_true")
 
-    p = add("lattice", cmd_lattice, help="the CMM lattice of K[v,1]")
+    p = add("lattice", cmd_lattice, formats=("text", "json", "dot"),
+            help="the CMM lattice of K[v,1]")
     p.add_argument("--v", type=int, required=True)
 
     p = add("axiom", cmd_axiom, help="defining axiom of a coordinate")
@@ -308,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, help="substitution classes of S(v,0)")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "reduced"), default=None)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("frames", cmd_frames, help="Kripke frame correspondence checks")
     p.add_argument("--correspondence", action="store_true")
@@ -321,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None,
                    help="random frames per size beyond exhaustive range")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("countermodel", cmd_countermodel, help="search small falsifying model")
     p.add_argument("formula")
@@ -334,7 +321,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``mmw ... | head``).  Point stdout at
+        # devnull so the interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (fm.FormulaSyntaxError, CapExceededError, DegreeError,
             ContextMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

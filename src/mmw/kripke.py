@@ -2,10 +2,22 @@
 
 The correspondence machinery exploits the shape of degree-1 formulas: at
 a world w under a valuation, the level-0 minterm at w together with the
-set of minterms seen at w's successors pick out a single level-1 minterm,
-and a normalized formula holds at w exactly when that minterm is in its
-minmatrix.  ``eval_model`` stays a direct recursion over the formula so
-the two evaluation routes can check each other.
+set of minterms seen at w's successors pick out a single level-1 minterm
+(s, e), and a normalized formula holds at w exactly when that minterm is
+in its minmatrix.  Which minterms a world can realize, over all
+valuations, depends only on its *type*: its self-loop bit and
+c = min(k, n), k being the number of other worlds it sees.
+
+* An irreflexive world realizes every (s, e) with 1 <= |e| <= c, or only
+  e = {} when k = 0.
+* A reflexive world realizes every (s, e) with s in e and
+  |e| <= min(k + 1, n).
+
+So ``type_table`` reads a minmatrix once into a table of 2(n+1) types,
+and a frame is valid iff every world's type is in it: O(|W|) per frame
+instead of n**|W| valuations.  ``valid_on_frame(method="direct")``
+enumerates every valuation with ``eval_model``, a direct recursion over
+the formula, and is the oracle the structural rule is tested against.
 """
 
 from __future__ import annotations
@@ -15,14 +27,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import formula as fm
-from .context import context
+from .context import CapExceededError, context
 from .lattice import STAR, SystemCoord, map_to_star
 from .minmatrix import normalize
 
 __all__ = [
     "Frame", "Model", "FrameCondition", "eval_model", "valid_on_frame",
     "frame_condition_holds", "correspondence_check", "find_countermodel",
-    "iter_frames", "CorrespondenceReport",
+    "iter_frames", "CorrespondenceReport", "type_table",
 ]
 
 DEFAULT_WORLD_CAP = 6
@@ -113,21 +125,52 @@ def _seen(frame: Frame, w: int):
         row ^= low
 
 
-def _world_minterm(frame: Frame, assignment, w: int, e_bits: int) -> int:
-    """Index of the level-1 minterm realized at world w."""
-    e = 0
-    for u in _seen(frame, w):
-        e |= 1 << assignment[u]
-    return (assignment[w] << e_bits) | e
+def type_table(bits: int, v: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Per-type validity table ``ok[loop][c]`` of the K[v,1] minmatrix ``bits``.
+
+    A world has type (loop, c) when its self-loop bit is ``loop`` and it
+    sees k other worlds with c = min(k, n); ``ok[loop][c]`` is true iff
+    ``bits`` holds at such a world under every valuation.  A type fails
+    when it can realize a missing minterm; both rows are downward closed
+    in c.
+    """
+    n = 1 << v
+    blind_ok = True       # irreflexive, k = 0: realizes (s, {}) for every s
+    irr_bound = n + 1     # irreflexive with c >= 1 is ok iff c < irr_bound
+    refl_bound = n + 1    # reflexive is ok iff c < refl_bound
+    missing = ((1 << (n << n)) - 1) & ~bits
+    while missing:
+        low = missing & -missing
+        s, e = divmod(low.bit_length() - 1, 1 << n)
+        size = e.bit_count()
+        if e == 0:
+            blind_ok = False
+        else:
+            irr_bound = min(irr_bound, size)
+        if (e >> s) & 1:
+            # min(k + 1, n) >= size  iff  min(k, n) >= size - 1, as size <= n
+            refl_bound = min(refl_bound, size - 1)
+        missing ^= low
+    return ((blind_ok,) + tuple(c < irr_bound for c in range(1, n + 1)),
+            tuple(c < refl_bound for c in range(n + 1)))
+
+
+def _valid_by_types(fr: Frame, table, n: int) -> bool:
+    for w, row in enumerate(fr.rows):
+        loop = (row >> w) & 1
+        if not table[loop][min(row.bit_count() - loop, n)]:
+            return False
+    return True
 
 
 def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
                    cap: int = DEFAULT_WORLD_CAP, method: str = "auto") -> bool:
     """True iff f holds at every world under every of the n**|W| valuations.
 
-    ``method="semantic"`` normalizes once and tests minterm membership
-    (degree <= 1 only); ``"direct"`` recurses with eval_model; ``"auto"``
-    picks the semantic route when the degree allows.
+    ``method="semantic"`` normalizes once and checks each world's type
+    against ``type_table`` (degree <= 1 only); ``"direct"`` recurses with
+    eval_model over every valuation; ``"auto"`` picks the semantic route
+    when the degree allows.
     """
     if fr.size > cap:
         raise ValueError(f"frame has {fr.size} worlds, over the cap {cap}")
@@ -135,13 +178,8 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
     if method == "auto":
         method = "semantic" if fm.modal_degree(f) <= 1 else "direct"
     if method == "semantic":
-        ctx = context(v, 1)
-        bits = normalize(f, ctx).bits
-        for assignment in product(range(n), repeat=fr.size):
-            for w in range(fr.size):
-                if not (bits >> _world_minterm(fr, assignment, w, ctx.e_bits)) & 1:
-                    return False
-        return True
+        table = type_table(normalize(f, context(v, 1)).bits, v)
+        return _valid_by_types(fr, table, n)
     if method == "direct":
         for assignment in product(range(n), repeat=fr.size):
             model = Model(fr, v, assignment)
@@ -210,12 +248,10 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     valid on the frame iff the star-mapped condition holds at all worlds.
     """
     from .axiom import alpha_for
-    ctx = context(v, 1)
-    axiom = alpha_for(coord, v)
-    bits = normalize(axiom, ctx).bits
+    table = type_table(normalize(alpha_for(coord, v), context(v, 1)).bits, v)
     star = map_to_star(coord, v)
     cond = FrameCondition(star.plane, star.x, star.y)
-    n = ctx.n
+    n = 1 << v
     rng = random.Random(seed)
     checked = 0
     violations = []
@@ -227,14 +263,7 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
             rels = range(total)
         for rel in rels:
             fr = Frame.from_relation(size, rel)
-            valid = True
-            for assignment in product(range(n), repeat=size):
-                for w in range(size):
-                    if not (bits >> _world_minterm(fr, assignment, w, ctx.e_bits)) & 1:
-                        valid = False
-                        break
-                if not valid:
-                    break
+            valid = _valid_by_types(fr, table, n)
             holds = frame_condition_holds(fr, cond)
             checked += 1
             if valid != holds:
@@ -249,13 +278,24 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
 
     Frames are searched by world count, then relation number, then
     valuation in lexicographic order, so the witness is deterministic.
+    For degree <= 1 the frames that ``type_table`` shows valid are
+    skipped, and valuations are enumerated only on the first frame that
+    is not.
     """
     if v is None:
         v = max(fm.variables(f), 1)
     n = 1 << v
+    table = None
+    if fm.modal_degree(f) <= 1:
+        try:
+            table = type_table(normalize(f, context(v, 1)).bits, v)
+        except CapExceededError:
+            pass            # K[v,1] too large: evaluate every valuation
     for size in range(1, max_worlds + 1):
         for rel in range(1 << (size * size)):
             fr = Frame.from_relation(size, rel)
+            if table is not None and _valid_by_types(fr, table, n):
+                continue
             for assignment in product(range(n), repeat=size):
                 model = Model(fr, v, assignment)
                 for w in range(size):

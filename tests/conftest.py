@@ -4,8 +4,9 @@ import pytest
 
 from mmw import formula as fm
 from mmw.context import context
+from mmw.lattice import surviving_orbit_sums
 from mmw.minmatrix import Minmatrix
-from mmw.substitution import Substitution
+from mmw.substitution import Substitution, all_substitutions
 
 
 def random_formula(rng: random.Random, v: int, depth: int = 4,
@@ -45,3 +46,13 @@ def random_substitution(rng: random.Random, v: int) -> Substitution:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(scope="session")
+def exhaustive_census():
+    """v -> orbit sums that survive collapse under every level-0 substitution.
+
+    The v=2 census closes 256 orbit sums under all 256 substitutions and
+    is the slowest computation in the default suite; two tests share it.
+    """
+    return {v: surviving_orbit_sums(v, all_substitutions(v)) for v in (1, 2)}

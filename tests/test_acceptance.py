@@ -16,13 +16,12 @@ from mmw.context import context
 from mmw.formula import Implies, parse
 from mmw.kripke import correspondence_check
 from mmw.lattice import (SystemCoord, cmm_from_coords, collapse, coverage,
-                         dependency_rules_hold, enumerate_cmms,
-                         surviving_orbit_sums)
+                         dependency_rules_hold, enumerate_cmms)
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.orbit import (compute_orbits, expected_size, label_order,
                        orbit_closed_form)
-from mmw.substitution import (all_substitutions, apply_minmatrix, classify,
-                              compose, critical_substitution, enumerate_primes)
+from mmw.substitution import (apply_minmatrix, classify, compose,
+                              critical_substitution, enumerate_primes)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -73,16 +72,16 @@ def test_criterion_3_orbits():
           "closed form for v = 1, 2, 3")
 
 
-def test_criterion_4_lattice_census():
+def test_criterion_4_lattice_census(exhaustive_census):
     for v, want in ((1, 10), (2, 28), (3, 88)):
         cmms = enumerate_cmms(v)
         n = 1 << v
         assert len(cmms) == want == n * (n + 3)
         for c in cmms:
             assert collapse(c.matrix) == c.matrix
-    surv1 = surviving_orbit_sums(1, all_substitutions(1))
+    surv1 = exhaustive_census[1]
     assert len(surv1) == 10 and set(surv1) == {c.orbits for c in enumerate_cmms(1)}
-    surv2 = surviving_orbit_sums(2, all_substitutions(2))
+    surv2 = exhaustive_census[2]
     assert len(surv2) == 28 and set(surv2) == {c.orbits for c in enumerate_cmms(2)}
     print("ACCEPTANCE 4 PASS: 10/28/88 CMMs; exhaustive collapse census "
           "16 -> 10 and 256 -> 28")

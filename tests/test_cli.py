@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import mmw
 from mmw.cli import main
+from mmw.lattice import enumerate_cmms
 
 
 def run(capsys, *argv):
@@ -123,14 +130,14 @@ def test_frames_single_coordinate(capsys):
     assert code == 0 and "ok" in out
 
 
-def test_frames_all_coords_threads(capsys):
-    code, out1, _ = run(capsys, "frames", "--correspondence", "--v", "1",
-                        "--all-coords", "--max-worlds", "2", "--format", "json")
+def test_frames_all_coords_json(capsys):
+    code, out, _ = run(capsys, "frames", "--correspondence", "--v", "1",
+                       "--all-coords", "--max-worlds", "2", "--format", "json")
     assert code == 0
-    code, out2, _ = run(capsys, "frames", "--correspondence", "--v", "1",
-                        "--all-coords", "--max-worlds", "2", "--format", "json",
-                        "--threads", "2")
-    assert code == 0 and json.loads(out1) == json.loads(out2)
+    doc = json.loads(out)
+    assert [r["coord"] for r in doc] == [str(c.coord) for c in enumerate_cmms(1)]
+    assert all(r["frames_checked"] == 2 + 16 and r["violations"] == []
+               for r in doc)
 
 
 def test_frames_requires_target(capsys):
@@ -160,3 +167,32 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code = cli.main(["orbits", "--v", "1"])
     _, err = capsys.readouterr()
     assert code == 2 and "internal" in err
+
+
+def test_dot_format_only_on_lattice(capsys):
+    for argv in (("classify", "--v", "2"), ("normalize", "--v", "1", "p"),
+                 ("frames", "--correspondence", "--v", "1", "--all-coords")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "dot"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'dot'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("normalize", "--v", "1", "[]p->p"),
+                                  ("classify", "--v", "2")])
+def test_closed_stdout_exits_quietly(argv):
+    # a reader that has already gone away, as in ``mmw classify | head``
+    src = os.path.dirname(os.path.dirname(mmw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mmw.cli import main; sys.exit(main())", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -1,14 +1,16 @@
+from itertools import product
+
 import pytest
 
 from conftest import random_formula
 
-from mmw.axiom import alpha_K
+from mmw.axiom import alpha_for, alpha_K
 from mmw.context import context
-from mmw.formula import parse
+from mmw.formula import Box, Not, Or, parse
 from mmw.kripke import (Frame, FrameCondition, Model, correspondence_check,
                         eval_model, find_countermodel, frame_condition_holds,
-                        iter_frames, valid_on_frame)
-from mmw.lattice import STAR, SystemCoord, enumerate_cmms
+                        iter_frames, type_table, valid_on_frame)
+from mmw.lattice import STAR, SystemCoord, enumerate_cmms, map_to_star
 from mmw.minmatrix import normalize
 
 REFL = Frame((1,))            # single reflexive world
@@ -48,6 +50,60 @@ def test_valid_on_frame_methods_agree(rng):
         for fr in frames:
             assert valid_on_frame(fr, f, 2, method="semantic") == \
                 valid_on_frame(fr, f, 2, method="direct")
+
+
+def test_type_table_matches_frame_condition():
+    # validity is a conjunction over worlds, so agreement on every world
+    # type proves correspondence on frames of any size; k = n + 1 shows
+    # that types saturate at min(k, n)
+    for v in (1, 2):
+        n = 1 << v
+        for c in enumerate_cmms(v):
+            ok = type_table(normalize(alpha_for(c.coord, v), context(v, 1)).bits, v)
+            star = map_to_star(c.coord, v)
+            cond = FrameCondition(star.plane, star.x, star.y)
+            for loop in (0, 1):
+                for k in range(n + 2):
+                    # world 0 sees worlds 1..k, and itself when loop is set
+                    fr = Frame((((1 << k) - 1) << 1 | loop,) + (0,) * k)
+                    assert ok[loop][min(k, n)] == cond.holds_at(fr, 0), \
+                        (str(c.coord), loop, k)
+
+
+def test_structural_caps_agree_with_direct(rng):
+    # v = 1, n = 2: a reflexive world seeing n others, and an irreflexive
+    # world seeing n + 1 others
+    hub = Frame((0b111, 0, 0))
+    star = Frame((0b1110, 0, 0, 0))
+    formulas = [alpha_for(c.coord, 1) for c in enumerate_cmms(1)]
+    formulas += [random_formula(rng, 1, 4) for _ in range(100)]
+    for f in formulas:
+        for fr in (hub, star):
+            assert valid_on_frame(fr, f, 1, method="semantic") == \
+                valid_on_frame(fr, f, 1, method="direct")
+
+
+def _brute_force_countermodel(f, max_worlds, v):
+    n = 1 << v
+    for size in range(1, max_worlds + 1):
+        for fr in iter_frames(size):
+            for assignment in product(range(n), repeat=size):
+                model = Model(fr, v, assignment)
+                for w in range(size):
+                    if not eval_model(model, w, f):
+                        return fr, model, w
+    return None
+
+
+def test_countermodel_matches_brute_force(rng):
+    # "+ []!m" terms for distinct valuations m push the smallest
+    # countermodel up to worlds that see each of them (3 worlds for 3 terms)
+    for _ in range(30):
+        v = rng.choice((1, 2))
+        f = random_formula(rng, v, rng.randint(2, 4))
+        for m in rng.sample(range(1 << v), rng.randint(0, min(3, 1 << v))):
+            f = Or(f, Box(Not(context(v, 0).minterm_formula(m))))
+        assert find_countermodel(f, 3, v) == _brute_force_countermodel(f, 3, v), f
 
 
 def test_frame_conditions():

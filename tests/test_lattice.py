@@ -115,11 +115,11 @@ def test_enumerated_cmms_are_fixpoints():
             assert collapse(c.matrix) == c.matrix
 
 
-def test_exhaustive_census():
-    surv = surviving_orbit_sums(1, all_substitutions(1))
+def test_exhaustive_census(exhaustive_census):
+    surv = exhaustive_census[1]
     assert len(surv) == 10
     assert set(surv) == {c.orbits for c in enumerate_cmms(1)}
-    surv = surviving_orbit_sums(2, all_substitutions(2))
+    surv = exhaustive_census[2]
     assert len(surv) == 28
     assert set(surv) == {c.orbits for c in enumerate_cmms(2)}
 
