@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from . import formula as fm
 from .context import context, enumerate_E, level0_minterm
-from .lattice import (CMM, STAR, InternalConsistencyError, SystemCoord,
-                      cmm_from_coords, collapse, map_to_star)
+from .lattice import (STAR, InternalConsistencyError, SystemCoord,
+                      cmm_from_coords, collapse, coord_of, map_to_star)
 from .minmatrix import Minmatrix, normalize
-from .orbit import orbit_map
+from .orbit import orbit_labels
 
 __all__ = [
     "alpha_K", "alpha_D", "alpha_prime_K", "alpha_for", "system_of",
@@ -92,15 +92,6 @@ def alpha_for(coord: SystemCoord, v: int, variant: str = "alpha") -> fm.Formula:
     raise ValueError(f"unknown axiom variant {variant!r}")
 
 
-def _coord_of_orbit_set(labels: frozenset[str]) -> SystemCoord:
-    plane = "K" if "Vv0" in labels else "D"
-    dcs = [int(l[2:]) for l in labels if l.startswith("Dc")]
-    dws = [int(l[2:]) for l in labels if l.startswith("Dw")]
-    x = max(dcs, default=0)
-    y = max(dws, default=0) if "Dd0" in labels else -1
-    return SystemCoord(plane, x, y)
-
-
 def system_of(f: fm.Formula) -> tuple[SystemCoord, int]:
     """Decide the system of a degree <= 1 formula.
 
@@ -112,20 +103,11 @@ def system_of(f: fm.Formula) -> tuple[SystemCoord, int]:
     v = max(fm.variables(f), 1)
     ctx = context(v, 1)
     fixpoint = collapse(normalize(f, ctx))
-    labels = frozenset(lbl for lbl, orb in orbit_map(ctx).items()
-                       if orb <= fixpoint and orb.bits)
-    union = Minmatrix.empty(ctx)
-    for lbl in labels:
-        union = union | orbit_map(ctx)[lbl]
-    if union != fixpoint:
+    coord = coord_of(fixpoint)
+    if coord is None:
         raise InternalConsistencyError(
-            "collapse fixpoint is not a union of complete prime orbits")
-    if not labels:
-        return SystemCoord("D", 0, -1), v
-    coord = _coord_of_orbit_set(labels)
-    if cmm_from_coords(coord, v).orbits != labels:
-        raise InternalConsistencyError(
-            f"fixpoint orbit set {sorted(labels)} is not a lattice coordinate")
+            f"collapse fixpoint (complete orbits {orbit_labels(fixpoint)}) "
+            "is not a coordinate CMM")
     return map_to_star(coord, v), v
 
 

@@ -15,10 +15,10 @@ import sys
 from . import formula as fm
 from .context import CapExceededError, DegreeError, context
 from .kripke import correspondence_check, find_countermodel
-from .lattice import (STAR, InternalConsistencyError, SystemCoord, collapse,
-                      enumerate_cmms, map_to_star)
+from .lattice import (STAR, InternalConsistencyError, SystemCoord, cmm_from_coords,
+                      collapse, coord_of, enumerate_cmms, map_to_star)
 from .minmatrix import ContextMismatchError, Minmatrix, normalize
-from .orbit import display_label, orbit_map
+from .orbit import display_label, orbit_labels, orbit_map
 from .substitution import all_substitutions, classify
 
 __all__ = ["main"]
@@ -30,10 +30,6 @@ def _coord_value(text: str) -> int | str:
     return int(text)
 
 
-def _parse_formula(text: str) -> fm.Formula:
-    return fm.parse(text)
-
-
 def _print_minmatrix(m: Minmatrix, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(m.to_json(include_hex=True)))
@@ -43,36 +39,25 @@ def _print_minmatrix(m: Minmatrix, fmt: str) -> None:
 
 def cmd_normalize(args) -> int:
     ctx = context(args.v, args.d)
-    m = normalize(_parse_formula(args.formula), ctx)
+    m = normalize(fm.parse(args.formula), ctx)
     _print_minmatrix(m, args.format)
     return 0
 
 
-def _orbit_set_of(m: Minmatrix) -> list[str]:
-    return [lbl for lbl, orb in orbit_map(m.ctx).items() if orb <= m and orb.bits]
-
-
-def _coord_of_cmm(m: Minmatrix, v: int) -> SystemCoord | None:
-    for c in enumerate_cmms(v):
-        if c.matrix == m:
-            return c.coord
-    return None
-
-
 def cmd_collapse(args) -> int:
     ctx = context(args.v, 1)
-    m = normalize(_parse_formula(args.formula), ctx)
+    m = normalize(fm.parse(args.formula), ctx)
     subs = all_substitutions(args.v) if args.exhaustive else None
     result = collapse(m, subs)
-    coord = _coord_of_cmm(result, args.v)
+    coord = coord_of(result)
+    labels = orbit_labels(result)
     if args.format == "json":
         doc = result.to_json()
-        doc["orbits"] = _orbit_set_of(result)
+        doc["orbits"] = labels
         doc["coord"] = str(coord) if coord else None
         print(json.dumps(doc))
     else:
         print(result.render_matrix())
-        labels = _orbit_set_of(result)
         names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
         print(f"orbits: [{names}]")
         if coord is not None:
@@ -154,25 +139,22 @@ def cmd_axiom(args) -> int:
     axiom = alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
     cmm = collapse(normalize(axiom, ctx))
+    labels = orbit_labels(cmm)
     if args.format == "json":
         doc = {"coord": str(coord), "axiom": fm.render(axiom),
-               "cmm": cmm.to_json(), "orbits": _orbit_set_of(cmm)}
+               "cmm": cmm.to_json(), "orbits": labels}
         print(json.dumps(doc))
     else:
         print(fm.render(axiom))
-        labels = "+".join(display_label(l, args.v) for l in _orbit_set_of(cmm)) \
-            or "(empty)"
-        print(f"CMM orbits: [{labels}]")
+        names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
+        print(f"CMM orbits: [{names}]")
     return 0
 
 
 def cmd_system_of(args) -> int:
     from .axiom import system_of
-    f = _parse_formula(args.formula)
-    coord, origin = system_of(f)
-    ctx = context(origin, 1)
-    cmm = collapse(normalize(f, ctx))
-    labels = _orbit_set_of(cmm)
+    coord, origin = system_of(fm.parse(args.formula))
+    labels = orbit_labels(cmm_from_coords(coord, origin).matrix)
     name = _registry_name(coord)
     if args.format == "json":
         print(json.dumps({"coord": str(coord), "origin_v": origin,
@@ -233,7 +215,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    f = _parse_formula(args.formula)
+    f = fm.parse(args.formula)
     hit = find_countermodel(f, args.max_worlds)
     if hit is None:
         print(f"no countermodel with up to {args.max_worlds} worlds")
@@ -261,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, formats=("text", "json"), **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--format", choices=formats, default=formats[0])
         return p
 
     p = add("normalize", cmd_normalize, help="formula to minmatrix")
@@ -294,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("system-of", cmd_system_of, help="lattice position of a formula")
     p.add_argument("formula")
 
-    p = add("classify", cmd_classify, help="substitution classes of S(v,0)")
+    p = add("classify", cmd_classify, formats=("json",),
+            help="substitution classes of S(v,0)")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "reduced"), default=None)
 

@@ -16,14 +16,14 @@ from itertools import combinations
 
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import label_order, orbit_map
-from .substitution import (Substitution, apply_minmatrix, critical_substitution,
-                           enumerate_primes)
+from .orbit import label_order, orbit_labels, orbit_map, orbit_masks
+from .substitution import Substitution, apply_minmatrix, critical_substitution
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
-    "cmm_from_coords", "enumerate_cmms", "coverage", "dependency_rules_hold",
-    "build_hasse", "HasseDiagram", "map_to_star", "surviving_orbit_sums",
+    "cmm_from_coords", "coord_of", "enumerate_cmms", "coverage",
+    "dependency_rules_hold", "build_hasse", "HasseDiagram", "map_to_star",
+    "surviving_orbit_sums",
 ]
 
 STAR = "*"
@@ -71,13 +71,6 @@ class CMM:
     coord: SystemCoord
     orbits: frozenset[str]
     matrix: Minmatrix
-
-
-def _default_subs(v: int) -> list[Substitution]:
-    subs = list(enumerate_primes(v))
-    if v >= 1:
-        subs.append(critical_substitution(v))
-    return subs
 
 
 def collapse(m: Minmatrix, subs=None) -> Minmatrix:
@@ -135,11 +128,30 @@ def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
         labels.add("Dd0")
         labels.update(f"Dw{k}" for k in range(1, y + 1))
     labels.update(f"Dc{k}" for k in range(1, x + 1))
-    orbits = orbit_map(ctx)
-    matrix = Minmatrix.empty(ctx)
-    for lbl in labels:
-        matrix = matrix | orbits[lbl]
-    return CMM(coord, frozenset(labels), matrix)
+    return CMM(coord, frozenset(labels), _orbit_union(ctx, labels))
+
+
+def coord_of(m: Minmatrix) -> SystemCoord | None:
+    """The context coordinate whose CMM is ``m``, or None if there is none.
+
+    There is one exactly when ``m`` is a union of complete prime orbits
+    whose labels pass DR1-DR3; it counts the Dc and Dw orbits of ``m``.
+    """
+    ctx = m.ctx
+    labels = frozenset(orbit_labels(m))
+    if _orbit_union(ctx, labels) != m or not dependency_rules_hold(labels, ctx.n):
+        return None
+    x = sum(lbl.startswith("Dc") for lbl in labels)
+    y = sum(lbl.startswith("Dw") for lbl in labels) if "Dd0" in labels else -1
+    return SystemCoord("K" if "Vv0" in labels else "D", x, y)
+
+
+def _orbit_union(ctx: Context, labels) -> Minmatrix:
+    bits = 0
+    for lbl, mask in zip(label_order(ctx.n), orbit_masks(ctx)):
+        if lbl in labels:
+            bits |= mask
+    return Minmatrix(ctx, bits)
 
 
 def enumerate_cmms(v: int) -> list[CMM]:
@@ -198,14 +210,11 @@ def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
     orbit sums, exactly the coordinate CMMs survive.
     """
     ctx = context(v, 1)
-    orbits = orbit_map(ctx)
     labels = label_order(ctx.n)
     survivors = []
     for r in range(len(labels) + 1):
         for combo in combinations(labels, r):
-            m = Minmatrix.empty(ctx)
-            for lbl in combo:
-                m = m | orbits[lbl]
+            m = _orbit_union(ctx, combo)
             if collapse(m, subs) == m:
                 survivors.append(frozenset(combo))
     return survivors

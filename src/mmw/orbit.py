@@ -2,10 +2,11 @@
 
 At d = 1 the orbits are fully determined by a two-part signature of each
 minterm: the state of the modal factor matching its own section, and the
-count of positive modal factors.  ``compute_orbits`` runs the worklist
-sweep (apply every prime substitution to a seed minterm, collect, repeat
-with the next unassigned minterm) while ``orbit_closed_form`` builds the
-same orbits straight from the signatures; the two must agree.
+count of positive modal factors.  ``compute_orbits`` closes each seed
+minterm under two generators of S_n, the transposition (0 1) and the
+n-cycle, acting on the section and the modal factors alike (orbits are
+the connected components of that action), while ``orbit_closed_form``
+builds the same orbits straight from the signatures; the two must agree.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
-from .substitution import prime_permutations
 
 __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
-    "orbit_closed_form", "orbit_masks", "orbit_map", "display_label",
+    "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
+    "display_label",
 ]
 
 
@@ -82,34 +81,39 @@ def orbit_closed_form(ctx: Context) -> list[PrimeOrbit]:
 
 
 def compute_orbits(ctx: Context) -> list[PrimeOrbit]:
-    """Worklist sweep: seed an unassigned minterm, close under all primes."""
+    """Closure of each unassigned seed minterm under two generators of S_n."""
     if ctx.d == 0:
         # The primes permute the level-0 minterms transitively.
         return [PrimeOrbit("B0", Minmatrix.full(ctx))]
     if ctx.d != 1:
         raise DegreeError("prime orbits are computed for d <= 1 contexts")
     if ctx.v > 3:
-        raise ValueError("prime enumeration supports v <= 3")
+        raise ValueError("prime orbits are computed for v <= 3")
     n = ctx.n
-    perms = np.array(prime_permutations(ctx.v), dtype=np.int64)
-    assigned = 0
+    # the n-cycle i -> i+1 and the transposition (0 1) generate S_n
+    gens = [tuple((i + 1) % n for i in range(n))]
+    if n > 1:
+        gens.append((1, 0) + tuple(range(2, n)))
+    seen = bytearray(ctx.universe_size)
     orbits = []
-    seed = 0
-    while assigned != ctx.full:
-        while (assigned >> seed) & 1:
-            seed += 1
-        s, e = ctx.split(seed)
-        new_s = perms[:, s]
-        new_e = np.zeros(len(perms), dtype=np.int64)
-        for i in range(n):
-            if (e >> i) & 1:
-                new_e |= np.int64(1) << perms[:, i]
-        members = np.unique((new_s << ctx.e_bits) | new_e)
-        bits = 0
-        for idx in members.tolist():
-            bits |= 1 << idx
+    for seed in range(ctx.universe_size):
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        bits, stack = 1 << seed, [seed]
+        while stack:
+            s, e = ctx.split(stack.pop())
+            for pi in gens:
+                # pi sends the section s to pi(s) and <>m_i to <>m_pi(i)
+                nxt = pi[s] << ctx.e_bits
+                for i in range(n):
+                    if (e >> i) & 1:
+                        nxt |= 1 << pi[i]
+                if not seen[nxt]:
+                    seen[nxt] = 1
+                    bits |= 1 << nxt
+                    stack.append(nxt)
         orbits.append(PrimeOrbit(orbit_of(ctx, seed), Minmatrix(ctx, bits)))
-        assigned |= bits
     order = {lbl: pos for pos, lbl in enumerate(label_order(n))}
     orbits.sort(key=lambda o: order[o.label])
     return orbits
@@ -132,6 +136,13 @@ def orbit_masks(ctx: Context) -> tuple[int, ...]:
 def orbit_map(ctx: Context) -> dict[str, Minmatrix]:
     labels, masks = _orbit_table(ctx.v)
     return {lbl: Minmatrix(ctx, bits) for lbl, bits in zip(labels, masks)}
+
+
+def orbit_labels(m: Minmatrix) -> list[str]:
+    """Labels of the prime orbits wholly inside ``m``, in label order."""
+    masks = orbit_masks(m.ctx)
+    labels = _orbit_table(m.ctx.v)[0]
+    return [lbl for lbl, mask in zip(labels, masks) if m.bits & mask == mask]
 
 
 def expected_size(label: str, n: int) -> int:

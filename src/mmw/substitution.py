@@ -25,6 +25,7 @@ from math import factorial
 from . import formula as fm
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
+from .orbit import orbit_masks
 
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
@@ -257,7 +258,6 @@ class DependencyClass:
 
 def coverage_key(s: Substitution) -> tuple:
     """The {none, partial, full} coverage matrix of s over the prime orbits."""
-    from .orbit import orbit_masks
     ctx = context(s.v, 1)
     masks = orbit_masks(ctx)
     key = []

@@ -68,7 +68,7 @@ def test_criterion_3_orbits():
     assert all(o.size == expected_size(o.label, 8) for o in orbits3)
     for ctx in (K11, K21, context(3, 1)):
         assert compute_orbits(ctx) == orbit_closed_form(ctx)
-    print("ACCEPTANCE 3 PASS: orbit patterns, sizes and worklist == "
+    print("ACCEPTANCE 3 PASS: orbit patterns, sizes and generator closure == "
           "closed form for v = 1, 2, 3")
 
 

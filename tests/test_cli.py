@@ -16,6 +16,13 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def subprocess_env() -> dict:
+    """The environment for a fresh interpreter that imports this mmw."""
+    src = os.path.dirname(os.path.dirname(mmw.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_normalize_text(capsys):
     code, out, _ = run(capsys, "normalize", "--v", "1", "--d", "1", "[]p->p")
     assert code == 0
@@ -170,28 +177,37 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_dot_format_only_on_lattice(capsys):
-    for argv in (("classify", "--v", "2"), ("normalize", "--v", "1", "p"),
-                 ("frames", "--correspondence", "--v", "1", "--all-coords")):
+    # classify prints JSON only, so it refuses text as well
+    for argv, fmt in ((("classify", "--v", "2"), "dot"),
+                      (("normalize", "--v", "1", "p"), "dot"),
+                      (("frames", "--correspondence", "--v", "1", "--all-coords"), "dot"),
+                      (("classify", "--v", "2"), "text")):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--format", "dot"])
+            main([*argv, "--format", fmt])
         assert exc.value.code == 2
-        assert "invalid choice: 'dot'" in capsys.readouterr().err
+        assert f"invalid choice: '{fmt}'" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy serves only the extended tests; the cold CLI path stays free of it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mmw.cli; print('numpy' in sys.modules)"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("argv", [("normalize", "--v", "1", "[]p->p"),
                                   ("classify", "--v", "2")])
 def test_closed_stdout_exits_quietly(argv):
     # a reader that has already gone away, as in ``mmw classify | head``
-    src = os.path.dirname(os.path.dirname(mmw.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from mmw.cli import main; sys.exit(main())", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(),
+            timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 1

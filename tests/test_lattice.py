@@ -8,9 +8,9 @@ from mmw.context import context
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
 from mmw.lattice import (STAR, SystemCoord, build_hasse, cmm_from_coords,
-                         collapse, coverage, dependency_rules_hold,
+                         collapse, coord_of, coverage, dependency_rules_hold,
                          enumerate_cmms, map_to_star, surviving_orbit_sums)
-from mmw.orbit import label_order, orbit_map
+from mmw.orbit import label_order, orbit_labels, orbit_map
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes)
 
@@ -155,6 +155,40 @@ def test_dependency_rules_characterize_cmms():
                 if dependency_rules_hold(frozenset(combo), n):
                     admitted.add(frozenset(combo))
         assert admitted == coords
+
+
+def test_coord_of_inverts_cmm_from_coords():
+    for v in (1, 2, 3):
+        for c in enumerate_cmms(v):
+            assert coord_of(c.matrix) == c.coord
+            assert orbit_labels(c.matrix) == [l for l in label_order(1 << v)
+                                              if l in c.orbits]
+
+
+def test_coord_of_admits_exactly_the_census(exhaustive_census):
+    for v in (1, 2):
+        ctx = context(v, 1)
+        orbits = orbit_map(ctx)
+        labels = label_order(ctx.n)
+        survivors = set(exhaustive_census[v])
+        for r in range(len(labels) + 1):
+            for combo in combinations(labels, r):
+                m = Minmatrix.empty(ctx)
+                for lbl in combo:
+                    m = m | orbits[lbl]
+                assert orbit_labels(m) == list(combo)
+                assert (coord_of(m) is not None) == (frozenset(combo) in survivors)
+
+
+def test_coord_of_rejects_non_coordinates():
+    orbits = orbit_map(K11)
+    # {Vv0, Dc1} fails DR3; as a coordinate it would be the invalid (1,-1)
+    assert coord_of(orbits["Vv0"] | orbits["Dc1"]) is None
+    # part of an orbit on top of a coordinate CMM
+    dd0 = orbits["Dd0"]
+    part = Minmatrix(K11, dd0.bits & -dd0.bits)
+    assert coord_of(cmm_from_coords(SystemCoord("K", 0, -1), 1).matrix | part) is None
+    assert orbit_labels(part) == []
 
 
 def test_coverage_identity_and_critical():
