@@ -434,9 +434,11 @@ def named_systems(v: int) -> list[NamedSystem]:
     return out
 
 
+# Star coordinate -> registry entry; built from the reversed registry so
+# that, where two entries share a coordinate, the first one wins.
+_BY_COORD = {sys.coord: sys for sys in reversed(named_systems(3))}
+
+
 def registry_lookup(coord: SystemCoord) -> NamedSystem | None:
     """Find the named system at an assembled-lattice (star) coordinate."""
-    for sys in named_systems(3):
-        if sys.coord == coord:
-            return sys
-    return None
+    return _BY_COORD.get(coord)

@@ -6,6 +6,11 @@ variable (through its prefix) and of each modal atom ``<>mu_i`` (through
 its epsilon bits), and a subformula ``<>psi`` is true at a minterm exactly
 when some factor ``<>mu_i`` in state 1 has ``mu_i`` in the predecessor
 normalization of ``psi`` (normality distributes ``<>`` over sums).
+
+Each structurally distinct subterm is evaluated once per level: the formula
+is first interned into a table of distinct subterms (children first), and
+the table is then evaluated from the lowest level it needs up to the
+context, modal nodes reading their child's mask one level down.
 """
 
 from __future__ import annotations
@@ -155,51 +160,121 @@ class Minmatrix:
         return "\n".join(lines)
 
 
+# Node kinds of the subterm table: leaves, then unary, then binary nodes.
+(_CONST0, _CONST1, _VAR, _NOT, _BOX, _DIAMOND,
+ _AND, _OR, _IMPLIES, _IFF) = range(10)
+_KIND = {fm.Const0: _CONST0, fm.Const1: _CONST1, fm.Var: _VAR,
+         fm.Not: _NOT, fm.Box: _BOX, fm.Diamond: _DIAMOND,
+         fm.And: _AND, fm.Or: _OR, fm.Implies: _IMPLIES, fm.Iff: _IFF}
+
+
 def normalize(f: fm.Formula, ctx: Context) -> Minmatrix:
     """The minmatrix of ``f`` in ``ctx`` (the set of minterms entailing f)."""
-    if fm.modal_degree(f) > ctx.d:
+    nodes, degree, nvars = _intern(f)
+    if degree[-1] > ctx.d:
         raise DegreeError(
-            f"formula has degree {fm.modal_degree(f)}, context is {ctx!r}")
-    if fm.variables(f) > ctx.v:
+            f"formula has degree {degree[-1]}, context is {ctx!r}")
+    if nvars[-1] > ctx.v:
         raise ValueError(
-            f"formula uses {fm.variables(f)} variables, context is {ctx!r}")
-    return Minmatrix(ctx, _eval(f, ctx, {}))
+            f"formula uses {nvars[-1]} variables, context is {ctx!r}")
+    # levels[r] is where subterms at modal depth D - r from the root are
+    # evaluated (D = the root's degree), so a subterm of degree k is only
+    # needed from levels[k] up.
+    levels = [ctx]
+    for _ in range(degree[-1]):
+        levels.append(levels[-1].predecessor())
+    levels.reverse()
+    below: list[int] = []
+    for r, lctx in enumerate(levels):
+        full = lctx.full
+        pred_full = levels[r - 1].full if r else 0
+        bits = [0] * len(nodes)         # Const0 entries keep 0
+        for i, (kind, a, b) in enumerate(nodes):
+            if degree[i] > r:
+                continue
+            if kind == _AND:
+                bits[i] = bits[a] & bits[b]
+            elif kind == _NOT:
+                bits[i] = full ^ bits[a]
+            elif kind == _OR:
+                bits[i] = bits[a] | bits[b]
+            elif kind == _VAR:
+                bits[i] = lctx.var_mask(a)
+            elif kind == _DIAMOND:
+                bits[i] = _diamond_mask(lctx, below[a])
+            elif kind == _BOX:
+                bits[i] = full ^ _diamond_mask(lctx, pred_full ^ below[a])
+            elif kind == _IMPLIES:
+                bits[i] = (full ^ bits[a]) | bits[b]
+            elif kind == _IFF:
+                bits[i] = full ^ (bits[a] ^ bits[b])
+            elif kind == _CONST1:
+                bits[i] = full
+        below = bits
+    return Minmatrix(ctx, below[-1])
 
 
 def is_theorem_K(m: Minmatrix) -> bool:
     return m.is_theorem_K()
 
 
-def _eval(f: fm.Formula, ctx: Context, memo: dict) -> int:
-    key = (f, ctx)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, fm.Const0):
-        bits = 0
-    elif isinstance(f, fm.Const1):
-        bits = ctx.full
-    elif isinstance(f, fm.Var):
-        bits = ctx.var_mask(f.index)
-    elif isinstance(f, fm.Not):
-        bits = ctx.full ^ _eval(f.child, ctx, memo)
-    elif isinstance(f, fm.And):
-        bits = _eval(f.left, ctx, memo) & _eval(f.right, ctx, memo)
-    elif isinstance(f, fm.Or):
-        bits = _eval(f.left, ctx, memo) | _eval(f.right, ctx, memo)
-    elif isinstance(f, fm.Implies):
-        bits = (ctx.full ^ _eval(f.left, ctx, memo)) | _eval(f.right, ctx, memo)
-    elif isinstance(f, fm.Iff):
-        bits = ctx.full ^ (_eval(f.left, ctx, memo) ^ _eval(f.right, ctx, memo))
-    elif isinstance(f, fm.Diamond):
-        bits = _diamond_mask(ctx, _eval(f.child, ctx.predecessor(), memo))
-    elif isinstance(f, fm.Box):
-        pred = ctx.predecessor()
-        bits = ctx.full ^ _diamond_mask(ctx, pred.full ^ _eval(f.child, pred, memo))
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    memo[key] = bits
-    return bits
+def _intern(f: fm.Formula) -> tuple[list[tuple[int, int, int]],
+                                     list[int], list[int]]:
+    """The distinct subterms of ``f`` as a table, children before parents.
+
+    Entry ``i`` is ``(kind, a, b)``: ``a`` and ``b`` are the entries of the
+    children (0 where absent), or ``a`` is the index of a variable.  Equal
+    subterms share one entry, however many objects spell them, so a key
+    hashes in O(1).  Also returns each entry's modal degree and variable
+    count.  The root is the last entry.  The post-order walk keeps its own
+    stacks, so depth is not limited by the interpreter's recursion limit.
+    """
+    ids: dict[tuple[int, int, int], int] = {}
+    seen: dict[int, int] = {}       # id(object) -> entry: shared objects
+    nodes: list[tuple[int, int, int]] = []
+    stack: list = [f]       # None: the node below it has its children done
+    done: list[int] = []    # entries of finished children, in walk order
+    while stack:
+        g = stack.pop()
+        if g is None:
+            g = stack.pop()
+            kind = _KIND[type(g)]
+            b = done.pop() if kind >= _AND else 0
+            key = (kind, done.pop(), b)
+        else:
+            i = seen.get(id(g))
+            if i is not None:
+                done.append(i)
+                continue
+            kind = _KIND.get(type(g))
+            if kind is None:
+                raise TypeError(f"unknown formula node {g!r}")
+            if kind >= _AND:
+                stack += (g, None, g.right, g.left)
+                continue
+            if kind >= _NOT:
+                stack += (g, None, g.child)
+                continue
+            key = (kind, g.index if kind == _VAR else 0, 0)
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(nodes)
+            nodes.append(key)
+        seen[id(g)] = i
+        done.append(i)
+    degree: list[int] = []
+    nvars: list[int] = []
+    for kind, a, b in nodes:
+        if kind >= _AND:
+            degree.append(max(degree[a], degree[b]))
+            nvars.append(max(nvars[a], nvars[b]))
+        elif kind >= _NOT:
+            degree.append(degree[a] + (kind != _NOT))
+            nvars.append(nvars[a])
+        else:
+            degree.append(0)
+            nvars.append(a + 1 if kind == _VAR else 0)
+    return nodes, degree, nvars
 
 
 def _diamond_mask(ctx: Context, pred_bits: int) -> int:

@@ -1,12 +1,12 @@
 import pytest
 
-from mmw.axiom import (AxiomVariant, alpha_D, alpha_K, alpha_prime_K,
-                       expand_cyclic, named_systems, registry_lookup,
-                       system_of, variant_collapse)
+from mmw.axiom import (AxiomVariant, alpha_D, alpha_for, alpha_K,
+                       alpha_prime_K, expand_cyclic, named_systems,
+                       registry_lookup, system_of, variant_collapse)
 from mmw.context import context
 from mmw.formula import parse
 from mmw.lattice import (STAR, SystemCoord, cmm_from_coords, collapse,
-                         enumerate_cmms)
+                         enumerate_cmms, map_to_star)
 from mmw.minmatrix import normalize
 
 K11 = context(1, 1)
@@ -59,14 +59,11 @@ def test_alpha_collapse_every_coordinate():
             assert collapse(normalize(a, context(v, 1))) == c.matrix, str(c.coord)
 
 
-def test_alpha_collapse_v3_sampled():
-    for coord in [SystemCoord("K", 0, -1), SystemCoord("K", 3, 3),
-                  SystemCoord("K", 7, 6), SystemCoord("D", 0, STAR),
-                  SystemCoord("D", 5, 4), SystemCoord("K", STAR, STAR)]:
-        want = cmm_from_coords(coord, 3).matrix
-        a = alpha_K(coord.x, coord.y, 3) if coord.plane == "K" \
-            else alpha_D(coord.x, coord.y, 3)
-        assert collapse(normalize(a, context(3, 1))) == want, str(coord)
+def test_alpha_collapses_every_v3_coordinate():
+    k31 = context(3, 1)
+    for c in enumerate_cmms(3):
+        a = alpha_for(c.coord, 3)
+        assert collapse(normalize(a, k31)) == c.matrix, str(c.coord)
 
 
 def test_alpha_prime_examples():
@@ -83,6 +80,16 @@ def test_alpha_prime_matches_alpha_everywhere():
             ap = collapse(normalize(alpha_prime_K(c.coord.x, c.coord.y, v),
                                     context(v, 1)))
             assert a == ap == c.matrix, str(c.coord)
+
+
+def test_alpha_prime_matches_alpha_v3():
+    k31 = context(3, 1)
+    for c in enumerate_cmms(3):
+        if c.coord.plane != "K":
+            continue
+        a = collapse(normalize(alpha_for(c.coord, 3), k31))
+        ap = collapse(normalize(alpha_prime_K(c.coord.x, c.coord.y, 3), k31))
+        assert a == ap == c.matrix, str(c.coord)
 
 
 def test_invalid_coordinate_rejected():
@@ -172,6 +179,12 @@ def test_registry_lookup():
     assert registry_lookup(SystemCoord("K", 0, 1)).name == "KW1"
     assert registry_lookup(SystemCoord("K", 3, 3)).name == "KWX6"
     assert registry_lookup(SystemCoord("K", 2, 0)) is None
+    registry = named_systems(3)
+    for v in (0, 1, 2, 3):
+        for c in enumerate_cmms(v):
+            star = map_to_star(c.coord, v)
+            scan = next((sys for sys in registry if sys.coord == star), None)
+            assert registry_lookup(star) == scan, str(star)
 
 
 def test_registry_names_match_system_of():

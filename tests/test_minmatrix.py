@@ -5,13 +5,52 @@ import pytest
 
 from conftest import random_formula, random_minmatrix
 
+from mmw import formula as fm
+from mmw.axiom import alpha_K
 from mmw.context import DegreeError, context
 from mmw.formula import Const0, Const1, parse, render
-from mmw.minmatrix import ContextMismatchError, Minmatrix, normalize
+from mmw.minmatrix import (ContextMismatchError, Minmatrix, _diamond_mask,
+                           normalize)
 from mmw.orbit import orbit_map
 
 K11 = context(1, 1)
 K21 = context(2, 1)
+
+
+def reference_eval(f, ctx, memo):
+    """The minmatrix bits of ``f`` by direct recursion, memoized on (f, ctx)."""
+    key = (f, ctx)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(f, fm.Const0):
+        bits = 0
+    elif isinstance(f, fm.Const1):
+        bits = ctx.full
+    elif isinstance(f, fm.Var):
+        bits = ctx.var_mask(f.index)
+    elif isinstance(f, fm.Not):
+        bits = ctx.full ^ reference_eval(f.child, ctx, memo)
+    elif isinstance(f, fm.And):
+        bits = reference_eval(f.left, ctx, memo) & reference_eval(f.right, ctx, memo)
+    elif isinstance(f, fm.Or):
+        bits = reference_eval(f.left, ctx, memo) | reference_eval(f.right, ctx, memo)
+    elif isinstance(f, fm.Implies):
+        bits = (ctx.full ^ reference_eval(f.left, ctx, memo)) | \
+            reference_eval(f.right, ctx, memo)
+    elif isinstance(f, fm.Iff):
+        bits = ctx.full ^ (reference_eval(f.left, ctx, memo) ^
+                           reference_eval(f.right, ctx, memo))
+    elif isinstance(f, fm.Diamond):
+        bits = _diamond_mask(ctx, reference_eval(f.child, ctx.predecessor(), memo))
+    elif isinstance(f, fm.Box):
+        pred = ctx.predecessor()
+        bits = ctx.full ^ _diamond_mask(
+            ctx, pred.full ^ reference_eval(f.child, pred, memo))
+    else:
+        raise TypeError(f"unknown formula node {f!r}")
+    memo[key] = bits
+    return bits
 
 
 def test_normalize_boolean_golden():
@@ -32,6 +71,34 @@ def test_normalize_constants():
 def test_normalize_diamond_one():
     m = normalize(parse("<>1"), K11)
     assert set(m.members()) == {7, 6, 5, 3, 2, 1}
+
+
+def test_normalize_matches_reference(rng):
+    cases = []
+    for v in (0, 1, 2, 3):
+        for d in (0, 1):
+            cases += [(random_formula(rng, v, 5, d), context(v, d))
+                      for _ in range(60)]
+    cases += [(random_formula(rng, 1, 6, modal_budget=2), context(1, 2))
+              for _ in range(60)]
+    # equal subterms spelled by distinct objects (every <>m_i factor)
+    cases.append((alpha_K(1, 2, 2), K21))
+    # one object in both children of a node
+    shared = parse("<>p->[]!p")
+    for _ in range(6):
+        shared = fm.Or(shared, fm.And(shared, parse("[]p")))
+    cases.append((fm.Implies(shared, shared), K11))
+    cases.append((fm.And(shared, parse("p<>!p")), K11))
+    for f, ctx in cases:
+        assert normalize(f, ctx).bits == reference_eval(f, ctx, {}), render(f)
+
+
+def test_normalize_walks_shared_objects_once():
+    # 62 objects spell a tree of about 2**61 nodes; each object is walked once
+    tower = parse("<>p")
+    for _ in range(60):
+        tower = fm.Iff(tower, tower)
+    assert normalize(tower, K11).is_theorem_K()
 
 
 def test_normalize_degree_and_variable_guards():
@@ -73,6 +140,11 @@ def test_to_formula():
 def test_normalize_to_formula_identity(rng):
     for _ in range(300):
         m = random_minmatrix(rng, rng.choice((1, 2)), 1)
+        assert normalize(m.to_formula(), m.ctx) == m
+    # to_formula() of a dense K[3,1] minmatrix is a left-deep chain of about
+    # 1,000 minterms, deeper than the interpreter's recursion limit
+    for _ in range(3):
+        m = random_minmatrix(rng, 3, 1)
         assert normalize(m.to_formula(), m.ctx) == m
 
 
