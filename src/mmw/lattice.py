@@ -12,12 +12,14 @@ n**n substitutions, v <= 2) exists as the validating oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import label_order, orbit_labels, orbit_map, orbit_masks
-from .substitution import Substitution, apply_minmatrix, critical_substitution
+from .orbit import label_order, orbit_labels, orbit_masks
+from .substitution import (Substitution, apply_minmatrix, critical_substitution,
+                           orbit_images)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
@@ -77,9 +79,10 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
     """Greatest fixpoint of xi -> xi & (xi o sigma) over the substitutions.
 
     With ``subs=None`` the default set (primes plus one critical
-    substitution) is used through a fast path: closure under the whole
-    prime group keeps exactly the complete prime orbits inside xi, so
-    rounds alternate an orbit trim with one critical-image intersection.
+    substitution) is used in orbit space: closure under the whole prime
+    group keeps exactly the complete prime orbits inside xi, and the image
+    of a union of orbits is the union of their images, so each round
+    intersects the kept orbits with the critical images of those orbits.
     """
     if subs is None:
         return _collapse_default(m)
@@ -101,20 +104,28 @@ def _collapse_default(m: Minmatrix) -> Minmatrix:
     if ctx.d == 0:
         # One orbit: anything short of [1] collapses to [0].
         return m if m.is_theorem_K() else Minmatrix.empty(ctx)
-    orbits = orbit_map(ctx)
-    crit = critical_substitution(ctx.v) if ctx.v >= 1 else None
-    bits = m
-    while True:
-        prev = bits
-        trimmed = Minmatrix.empty(ctx)
-        for orb in orbits.values():
-            if orb <= bits:
-                trimmed = trimmed | orb
-        bits = trimmed
-        if crit is not None and bits:
-            bits = bits & apply_minmatrix(bits, crit)
-        if bits == prev:
-            return bits
+    masks = orbit_masks(ctx)
+    keep = [k for k, mask in enumerate(masks) if m.bits & mask == mask]
+    if ctx.v >= 1:
+        images = _critical_orbit_images(ctx.v)
+        while keep:
+            image = 0
+            for k in keep:
+                image |= images[k]
+            kept = [k for k in keep if masks[k] & image == masks[k]]
+            if len(kept) == len(keep):
+                break
+            keep = kept
+    bits = 0
+    for k in keep:
+        bits |= masks[k]
+    return Minmatrix(ctx, bits)
+
+
+@lru_cache(maxsize=None)
+def _critical_orbit_images(v: int) -> tuple[int, ...]:
+    """The critical substitution's image of each prime orbit of K[v,1]."""
+    return tuple(orbit_images(context(v, 1), critical_substitution(v)))
 
 
 def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
@@ -167,12 +178,13 @@ def enumerate_cmms(v: int) -> list[CMM]:
 
 def coverage(ctx: Context, label_i: str, label_j: str, s: Substitution) -> str:
     """Orbit coverage under s: 'none', 'partial' or 'full'."""
-    orbits = orbit_map(ctx)
-    image = apply_minmatrix(orbits[label_i], s)
-    inter = image & orbits[label_j]
+    pos = {lbl: k for k, lbl in enumerate(label_order(ctx.n))}
+    image = orbit_images(ctx, s)[pos[label_i]]
+    target = orbit_masks(ctx)[pos[label_j]]
+    inter = image & target
     if not inter:
         return "none"
-    return "full" if orbits[label_j] <= image else "partial"
+    return "full" if inter == target else "partial"
 
 
 def dependency_rules_hold(labels: frozenset[str] | set[str], n: int) -> bool:

@@ -21,7 +21,7 @@ from .minmatrix import Minmatrix
 __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
     "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
-    "display_label",
+    "orbit_position", "display_label",
 ]
 
 
@@ -61,11 +61,16 @@ def orbit_of(ctx: Context, index: int) -> str:
     if ctx.d != 1:
         raise DegreeError("prime-orbit signatures require d = 1")
     s, e = ctx.split(index)
-    self_state = (e >> s) & 1
-    k = e.bit_count()
-    if self_state == 0:
-        return "Vv0" if k == 0 else f"Dc{k}"
-    return "Dd0" if k == 1 else f"Dw{k - 1}"
+    return label_order(ctx.n)[orbit_position(s, e)]
+
+
+def orbit_position(section: int, e: int) -> int:
+    """Index in ``label_order`` of the orbit of the d = 1 minterm (section, e).
+
+    With k positive factors: Vv0 (k = 0) and Dc_k sit at 2k when the own
+    factor is off; Dd0 (k = 1) and Dw_{k-1} at 2k - 1 when it is on.
+    """
+    return 2 * e.bit_count() - ((e >> section) & 1)
 
 
 def orbit_closed_form(ctx: Context) -> list[PrimeOrbit]:

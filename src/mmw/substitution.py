@@ -7,30 +7,41 @@ self-map ``g`` of ``[0, n)`` sending each level-0 minterm (as an
 assignment) to its image assignment; the two views convert losslessly,
 and there are ``n**n`` substitutions in all.
 
-Applying a substitution to a level-``d`` minterm uses the preimage sets
-``J_i = g^{-1}(i)``: the prefix ``m_s`` maps to the sections in ``J_s``
-and each modal factor ``<>m_i`` maps to ``<>(sum of m_j, j in J_i)``,
-which is positive exactly on minterms with some ``epsilon_j = 1``,
-``j in J_i`` (empty ``J_i`` gives ``<>0``, i.e. nothing).
+Applying a substitution is read off its source map ``phi_s``.  At level
+1 a minterm ``t = (j, e)`` (section ``j``, factor states ``e``) lies in
+the image of exactly one minterm::
+
+    phi_s(t) = (g(j), OR{1 << g(i) : e_i = 1})
+
+The prefix ``m_u`` becomes the sum of the sections in ``g^{-1}(u)``, and
+the factor ``<>m_i`` becomes ``<>(sum of m_j, j in g^{-1}(i))``, which
+holds at ``t`` exactly when some positive factor ``<>m_j`` of ``t`` has
+``g(j) = i`` (an empty preimage gives ``<>0``, false everywhere).  So the
+image of a minterm is its fibre under ``phi_s``, images of distinct
+minterms are disjoint, and the image of a minmatrix ``m`` is
+``phi_s^{-1}(m)``; at level 0, ``phi_s = g``.  ``phi_s`` depends on ``e``
+only through a table of ``2**n`` entries, so one pass over the universe
+gives the image of a minmatrix (``apply_minmatrix``) or, binning each
+minterm by the prime orbit of its source, the images of all ``2n``
+orbits at once (``orbit_images``).  Nothing is cached per substitution.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
 from . import formula as fm
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
-from .orbit import orbit_masks
+from .orbit import orbit_masks, orbit_position
 
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
-    "apply_minmatrix", "is_prime", "enumerate_primes", "prime_permutations",
-    "critical_substitution", "all_substitutions", "DependencyClass", "classify",
+    "apply_minmatrix", "orbit_images", "is_prime", "enumerate_primes",
+    "prime_permutations", "critical_substitution", "all_substitutions",
+    "DependencyClass", "classify",
 ]
 
 
@@ -119,71 +130,74 @@ def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
     return go(f)
 
 
-@lru_cache(maxsize=64)
-def _image_tables(ctx: Context, s: Substitution):
-    """Per-factor masks for applying ``s`` to minterms of ``ctx`` (d=1).
+def _source_map(ctx: Context,
+                s: Substitution) -> tuple[tuple[int, ...], list[int] | None]:
+    """(g, img): phi_s sends a level-1 minterm (j, e) to (g[j], img[e]).
 
-    Returns (prefix_masks, pos_masks, neg_masks): for each level-0 index i,
-    the mask of minterms whose section lies in J_i, the mask where some
-    factor from J_i is positive, and its complement (so an empty J_i
-    gives an empty positive mask and a full negative one).
+    ``img[e]`` sets bit ``g(i)`` for every factor ``i`` positive in ``e``;
+    at level 0 there are no factors and ``img`` is None.
     """
-    g = s.index_map()
-    n = ctx.n
-    pre = [0] * n
-    pos = [0] * n
-    for j, i in enumerate(g):
-        pre[i] |= ctx.section_mask(j)
-        pos[i] |= ctx.factor_mask(j)
-    neg = [ctx.full ^ m for m in pos]
-    return tuple(pre), tuple(pos), tuple(neg)
-
-
-def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
-    """The minmatrix of (minterm index) o s."""
     if s.v != ctx.v:
         raise ValueError("substitution arity does not match the context")
-    if ctx.d == 0:
-        g = s.index_map()
-        bits = 0
-        for j in range(ctx.n):
-            if g[j] == index:
-                bits |= 1 << j
-        return Minmatrix(ctx, bits)
     if ctx.d > 1:
         raise DegreeError("substitution application supports d <= 1")
-    pre, pos, neg = _image_tables(ctx, s)
-    sec, e = ctx.split(index)
-    acc = pre[sec]
-    for i in range(ctx.n):
-        if acc == 0:
-            break
-        acc &= pos[i] if (e >> i) & 1 else neg[i]
-    return Minmatrix(ctx, acc)
-
-
-@lru_cache(maxsize=8)
-def _minterm_images(ctx: Context, s: Substitution) -> tuple[int, ...]:
-    return tuple(apply_minterm(ctx, i, s).bits for i in range(ctx.universe_size))
+    g = s.index_map()
+    if ctx.d == 0:
+        return g, None
+    img = [0]
+    for gi in g:
+        # the e-values with the next factor <>m_i positive: each one
+        # without it, plus <>m_g(i)
+        img += [x | (1 << gi) for x in img]
+    return g, img
 
 
 def apply_minmatrix(m: Minmatrix, s: Substitution) -> Minmatrix:
-    """Union of the member images; distributes over union."""
+    """The minterms whose source under ``s`` lies in ``m``: phi_s^-1(m)."""
     ctx = m.ctx
-    if ctx.d == 0:
-        g = s.index_map()
-        bits = 0
-        for j in range(ctx.n):
-            if (m.bits >> g[j]) & 1:
+    g, img = _source_map(ctx, s)
+    bits = 0
+    if img is None:
+        for j, i in enumerate(g):
+            if (m.bits >> i) & 1:
                 bits |= 1 << j
         return Minmatrix(ctx, bits)
-    images = _minterm_images(ctx, s)
-    bits, rest = 0, m.bits
-    while rest:
-        low = rest & -rest
-        bits |= images[low.bit_length() - 1]
-        rest ^= low
+    n, block = ctx.n, (1 << len(img)) - 1
+    rows: dict[int, int] = {}     # section i -> the e with (i, img[e]) in m
+    for j, i in enumerate(g):
+        if i not in rows:
+            row = (m.bits >> (i << n)) & block
+            rows[i] = sum(1 << e for e, x in enumerate(img) if (row >> x) & 1)
+        bits |= rows[i] << (j << n)
     return Minmatrix(ctx, bits)
+
+
+def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
+    """The minmatrix of (minterm index) o s: the fibre phi_s^-1(index)."""
+    return apply_minmatrix(Minmatrix.from_indices(ctx, (index,)), s)
+
+
+def orbit_images(ctx: Context, s: Substitution) -> list[int]:
+    """Masks of the images under ``s`` of the 2n prime orbits, in label order.
+
+    A minterm lies in the image of the orbit that holds its source, so
+    one pass over the sections bins each e-bits value by the orbit of
+    (g[j], img[e]).
+    """
+    if ctx.d != 1:
+        raise DegreeError("prime orbits are computed for d = 1 contexts")
+    g, img = _source_map(ctx, s)
+    n = ctx.n
+    images = [0] * (2 * n)
+    rows: dict[int, list[int]] = {}   # section i -> the e by orbit of (i, img[e])
+    for j, i in enumerate(g):
+        if i not in rows:
+            rows[i] = [0] * (2 * n)
+            for e, x in enumerate(img):
+                rows[i][orbit_position(i, x)] |= 1 << e
+        for k, mask in enumerate(rows[i]):
+            images[k] |= mask << (j << n)
+    return images
 
 
 def is_prime(s: Substitution) -> bool:
@@ -208,7 +222,6 @@ def _prime_from_permutation(v: int, pi) -> Substitution:
     return Substitution(v, tuple(tables))
 
 
-@lru_cache(maxsize=None)
 def enumerate_primes(v: int) -> tuple[Substitution, ...]:
     """The (2**v)! invertible substitutions, built from minterm permutations."""
     out = tuple(_prime_from_permutation(v, pi) for pi in prime_permutations(v))
@@ -253,6 +266,7 @@ class DependencyClass:
 
     @property
     def key_digest(self) -> str:
+        import hashlib   # loaded only by callers that classify
         return hashlib.sha256(repr(self.key).encode()).hexdigest()[:16]
 
 
@@ -261,9 +275,8 @@ def coverage_key(s: Substitution) -> tuple:
     ctx = context(s.v, 1)
     masks = orbit_masks(ctx)
     key = []
-    for mi in masks:
+    for image in orbit_images(ctx, s):
         row = []
-        image = apply_minmatrix(Minmatrix(ctx, mi), s).bits
         for mj in masks:
             inter = image & mj
             row.append(0 if inter == 0 else (2 if inter == mj else 1))

@@ -189,11 +189,13 @@ def test_dot_format_only_on_lattice(capsys):
 
 
 def test_cli_import_loads_no_numpy():
-    # numpy serves only the extended tests; the cold CLI path stays free of it
+    # numpy serves only the extended tests, and hashlib only classify's
+    # key digests; the cold CLI path stays free of both
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mmw.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, mmw.cli; print('numpy' in sys.modules, 'hashlib' in sys.modules)"],
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "False False\n"
 
 
 @pytest.mark.parametrize("argv", [("normalize", "--v", "1", "[]p->p"),

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_minmatrix
+from test_substitution import reference_apply, reference_minterm_images
 
 from mmw.context import context
 from mmw.minmatrix import Minmatrix, normalize
@@ -10,7 +11,7 @@ from mmw.formula import parse
 from mmw.lattice import (STAR, SystemCoord, build_hasse, cmm_from_coords,
                          collapse, coord_of, coverage, dependency_rules_hold,
                          enumerate_cmms, map_to_star, surviving_orbit_sums)
-from mmw.orbit import label_order, orbit_labels, orbit_map
+from mmw.orbit import label_order, orbit_labels, orbit_map, orbit_masks
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes)
 
@@ -63,6 +64,52 @@ def test_collapse_default_equals_generic_default(rng):
         for _ in range(120):
             m = random_minmatrix(rng, v, 1)
             assert collapse(m) == collapse(m, subs)
+
+
+def reference_collapse_default(m, crit_images):
+    """The minterm-space default collapse (the test oracle).
+
+    Each round trims to the complete prime orbits, then intersects with
+    the critical image, read off the mask-walk images ``crit_images``.
+    """
+    ctx = m.ctx
+    orbits = orbit_map(ctx)
+    bits = m
+    while True:
+        prev = bits
+        trimmed = Minmatrix.empty(ctx)
+        for orb in orbits.values():
+            if orb <= bits:
+                trimmed = trimmed | orb
+        bits = trimmed
+        if bits:
+            bits = Minmatrix(ctx, bits.bits & reference_apply(bits.bits, crit_images))
+        if bits == prev:
+            return bits
+
+
+def test_collapse_default_matches_minterm_loop(rng):
+    # orbit sums, orbit sums with minterms removed or added, and plain
+    # random minmatrices, at v = 1..3
+    for v in (1, 2, 3):
+        ctx = context(v, 1)
+        size = ctx.universe_size
+        crit_images = reference_minterm_images(ctx, critical_substitution(v))
+        for _ in range(200):
+            bits = 0
+            for mask in orbit_masks(ctx):
+                if rng.random() < 0.7:
+                    bits |= mask
+            noise = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+            roll = rng.random()
+            if roll < 0.3:
+                bits &= ~noise
+            elif roll < 0.6:
+                bits |= noise
+            elif roll < 0.7:
+                bits = rng.getrandbits(size)
+            m = Minmatrix(ctx, bits)
+            assert collapse(m) == reference_collapse_default(m, crit_images)
 
 
 def test_collapse_default_equals_exhaustive(rng):
@@ -125,7 +172,7 @@ def test_exhaustive_census(exhaustive_census):
 
 
 def test_default_census_matches():
-    for v in (1, 2):
+    for v in (1, 2, 3):
         assert set(surviving_orbit_sums(v)) == {c.orbits for c in enumerate_cmms(v)}
 
 

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,11 +9,12 @@ from conftest import random_formula, random_minmatrix, random_substitution
 from mmw.context import DegreeError, context
 from mmw.formula import Diamond, Const0, parse
 from mmw.minmatrix import Minmatrix, normalize
+from mmw.orbit import orbit_masks
 from mmw.substitution import (Substitution, all_substitutions,
                               apply_formula, apply_minmatrix, apply_minterm,
                               classify, compose, coverage_key,
                               critical_substitution, enumerate_primes, identity,
-                              is_prime)
+                              is_prime, orbit_images)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -20,6 +23,64 @@ K21 = context(2, 1)
 def sub_from_formulas(v, *texts):
     ctx0 = context(v, 0)
     return Substitution(v, tuple(normalize(parse(t), ctx0).bits for t in texts))
+
+
+def reference_minterm_images(ctx, s):
+    """Every minterm's image by the per-factor mask walk (the test oracle).
+
+    For each level-0 index i: ``pre[i]`` holds the sections in g^-1(i),
+    ``pos[i]`` the minterms with some factor <>m_j, j in g^-1(i), positive
+    and ``neg[i]`` its complement; the image of (section, e) is
+    ``pre[section]`` ANDed with ``pos[i]`` or ``neg[i]`` for each factor i.
+    """
+    g = s.index_map()
+    n = ctx.n
+    if ctx.d == 0:
+        return [sum(1 << j for j in range(n) if g[j] == i) for i in range(n)]
+    pre = [0] * n
+    pos = [0] * n
+    for j, i in enumerate(g):
+        pre[i] |= ctx.section_mask(j)
+        pos[i] |= ctx.factor_mask(j)
+    neg = [ctx.full ^ m for m in pos]
+    images = []
+    for index in range(ctx.universe_size):
+        sec, e = ctx.split(index)
+        acc = pre[sec]
+        for i in range(n):
+            if acc == 0:
+                break
+            acc &= pos[i] if (e >> i) & 1 else neg[i]
+        images.append(acc)
+    return images
+
+
+def reference_apply(bits, images):
+    """Union of the images of the members of ``bits``."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= images[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def engine_cases(rng):
+    """(context, substitution, mask-walk images) for v = 0..3 at d = 0 and 1.
+
+    Per v: the identity, a constant map, the critical substitution and 20
+    seeded random self-maps.
+    """
+    for v in range(4):
+        n = 1 << v
+        subs = [identity(v), Substitution.from_index_map(v, (n - 1,) * n)]
+        if v:
+            subs.append(critical_substitution(v))
+        subs += [random_substitution(rng, v) for _ in range(20)]
+        for d in (0, 1):
+            ctx = context(v, d)
+            for s in subs:
+                yield ctx, s, reference_minterm_images(ctx, s)
 
 
 def test_identity_unit_law(rng):
@@ -90,6 +151,26 @@ def test_apply_minterm_examples():
     assert apply_minterm(K11, 2, pz).bits == 0       # forced <>0
     neg = sub_from_formulas(1, "!p")
     assert apply_minterm(K11, 7, neg).members() == (3,)
+
+
+def test_apply_minmatrix_matches_mask_walk(rng):
+    for ctx, s, images in engine_cases(rng):
+        size = ctx.universe_size
+        for idx in rng.sample(range(size), min(8, size)):
+            assert apply_minterm(ctx, idx, s).bits == images[idx]
+        for _ in range(40):
+            bits = rng.getrandbits(size)
+            if rng.random() < 0.5:      # sparse, so single fibres show
+                bits &= rng.getrandbits(size) & rng.getrandbits(size)
+            assert apply_minmatrix(Minmatrix(ctx, bits), s).bits == \
+                reference_apply(bits, images)
+
+
+def test_orbit_images_match_mask_walk(rng):
+    for ctx, s, images in engine_cases(rng):
+        if ctx.d == 1:
+            assert orbit_images(ctx, s) == \
+                [reference_apply(mask, images) for mask in orbit_masks(ctx)]
 
 
 def test_apply_minterm_degree_guard():
@@ -215,6 +296,37 @@ def test_classify_key_invariant_under_prime_composition(rng):
         key = coverage_key(s)
         a, b = rng.choice(primes), rng.choice(primes)
         assert coverage_key(compose(compose(a, s), b)) == key
+
+
+MEMORY_SCRIPT = """
+import gc, os, tracemalloc
+tracemalloc.start()
+import mmw
+from mmw.lattice import collapse, enumerate_cmms, surviving_orbit_sums
+from mmw.substitution import all_substitutions, classify, enumerate_primes
+classify(3, "reduced")
+surviving_orbit_sums(2, all_substitutions(2))
+for c in enumerate_cmms(3):
+    collapse(c.matrix)
+enumerate_primes(3)
+gc.collect()
+own = tracemalloc.Filter(True, os.path.join(os.path.dirname(mmw.__file__), "*"))
+snapshot = tracemalloc.take_snapshot().filter_traces([own])
+print(sum(stat.size for stat in snapshot.statistics("filename")))
+"""
+
+
+def test_substitution_work_leaves_little_memory_held():
+    # nothing is cached per substitution: after classify(3), the exhaustive
+    # v=2 census (all 256 substitutions), the default collapse of every v=3
+    # CMM and the 40,320 v=3 primes, mmw's own allocations that are still
+    # alive (import-time tables, ~160 KiB, included) stay under 256 KiB
+    from test_cli import subprocess_env
+    proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256 * 1024
 
 
 def test_critical_class_is_the_largest_v2():
