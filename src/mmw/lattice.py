@@ -219,7 +219,10 @@ def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
     """Orbit-label sets whose union is a collapse fixpoint under ``subs``.
 
     The exhaustive census behind the lattice: of the 2**(2n) candidate
-    orbit sums, exactly the coordinate CMMs survive.
+    orbit sums, exactly the coordinate CMMs survive.  With explicit
+    ``subs`` one pass decides it: m is a fixpoint iff no substitution
+    shrinks it, m & (m o sigma) == m for every sigma, so the pass stops at
+    the first sigma that does.
     """
     ctx = context(v, 1)
     labels = label_order(ctx.n)
@@ -227,7 +230,11 @@ def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
     for r in range(len(labels) + 1):
         for combo in combinations(labels, r):
             m = _orbit_union(ctx, combo)
-            if collapse(m, subs) == m:
+            if subs is None:
+                fixed = collapse(m) == m
+            else:
+                fixed = all(m & apply_minmatrix(m, s) == m for s in subs)
+            if fixed:
                 survivors.append(frozenset(combo))
     return survivors
 

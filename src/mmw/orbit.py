@@ -6,7 +6,11 @@ count of positive modal factors.  ``compute_orbits`` closes each seed
 minterm under two generators of S_n, the transposition (0 1) and the
 n-cycle, acting on the section and the modal factors alike (orbits are
 the connected components of that action), while ``orbit_closed_form``
-builds the same orbits straight from the signatures; the two must agree.
+builds the same orbits straight from the signatures, one minterm at a
+time; the two must agree.  The masks every other module reads
+(``orbit_masks``, ``orbit_map``, ``orbit_labels``) are built from the
+signature by popcount class of the factor bits, and the two
+constructions above are their oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .context import Context, DegreeError, context
+from .context import Context, DegreeError
 from .minmatrix import Minmatrix
 
 __all__ = [
@@ -126,9 +130,33 @@ def compute_orbits(ctx: Context) -> list[PrimeOrbit]:
 
 @lru_cache(maxsize=None)
 def _orbit_table(v: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    ctx = context(v, 1)
-    orbs = orbit_closed_form(ctx)
-    return tuple(o.label for o in orbs), tuple(o.matrix.bits for o in orbs)
+    """Labels and masks of the 2n prime orbits of K[v,1], by popcount class.
+
+    A minterm (s, e) lies in orbit ``2|e| - e_s`` (``orbit_position``), so
+    each section's slice of an orbit is one popcount class of e-values,
+    split by whether bit s is set: O(n**2) big-int operations in place of
+    a per-minterm loop.
+    """
+    n = 1 << v
+    # classes[c]: the 2**n-bit mask of the e-values with c bits set, built
+    # one factor at a time (an e-value without factor i, or with it)
+    classes = [1]
+    for i in range(n):
+        classes = [lo | (hi << (1 << i))
+                   for lo, hi in zip(classes + [0], [0] + classes)]
+    full = (1 << (1 << n)) - 1
+    masks = [0] * (2 * n)
+    for s in range(n):
+        # the e-values with bit s set: runs of 2**s ones after 2**s zeros
+        run = 1 << s
+        on = full // ((1 << (2 * run)) - 1) * (((1 << run) - 1) << run)
+        off = full ^ on
+        for c, cls in enumerate(classes):
+            if c:
+                masks[2 * c - 1] |= (cls & on) << (s << n)
+            if c < n:
+                masks[2 * c] |= (cls & off) << (s << n)
+    return tuple(label_order(n)), tuple(masks)
 
 
 def orbit_masks(ctx: Context) -> tuple[int, ...]:

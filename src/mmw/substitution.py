@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 
 from . import formula as fm
 from .context import Context, DegreeError, context
@@ -212,20 +213,26 @@ def prime_permutations(v: int):
     return list(permutations(range(1 << v)))
 
 
-def _prime_from_permutation(v: int, pi) -> Substitution:
-    # sigma_k = sum of m_{pi(i)} over the i where p_k is true in m_i.
-    tables = [0] * v
-    for i in range(1 << v):
-        for k in range(v):
-            if (i >> (v - 1 - k)) & 1:
-                tables[k] |= 1 << pi[i]
-    return Substitution(v, tuple(tables))
-
-
 def enumerate_primes(v: int) -> tuple[Substitution, ...]:
-    """The (2**v)! invertible substitutions, built from minterm permutations."""
-    out = tuple(_prime_from_permutation(v, pi) for pi in prime_permutations(v))
-    assert len(out) == factorial(1 << v)
+    """The (2**v)! invertible substitutions, in ``prime_permutations`` order.
+
+    The prime of a permutation pi has sigma_k = sum of m_{pi(i)} over the
+    i where p_k is true in m_i.  Permuting the bit values ``1 << j`` in
+    place of the indices j, table k is the sum of the permuted bits at
+    those i.
+    """
+    if v > 3:
+        raise ValueError("prime enumeration supports v <= 3")
+    n = 1 << v
+    columns = []
+    for k in range(v):
+        rows = [i for i in range(n) if (i >> (v - 1 - k)) & 1]
+        # itemgetter returns a lone index's item bare, a slice's as a tuple
+        columns.append(itemgetter(*rows) if len(rows) > 1
+                       else itemgetter(slice(rows[0], rows[0] + 1)))
+    out = tuple([Substitution(v, tuple([sum(col(pi)) for col in columns]))
+                 for pi in permutations([1 << j for j in range(n)])])
+    assert len(out) == factorial(n)
     return out
 
 

@@ -1,5 +1,7 @@
 """Long-running checks, outside the default run: ``pytest -m extended``."""
 
+from itertools import product
+
 import pytest
 
 from mmw.kripke import correspondence_check
@@ -9,29 +11,27 @@ from mmw.substitution import classify
 pytestmark = pytest.mark.extended
 
 
-def _fiber_signature_counts(n: int, chunk: int = 1 << 20):
-    """Census of all n**n self-maps by sorted fiber-size profile (numpy)."""
-    import numpy as np
+def _fiber_signature_counts(n: int) -> dict[tuple, int]:
+    """Census of all n**n self-maps by sorted fiber-size profile.
 
-    total = n ** n
+    Each map is a prefix of its first n - 2 values followed by a suffix of
+    the last two: the prefix's fiber counts are taken once, and each of
+    the n**2 suffixes adds its two values to them.
+    """
     out: dict[tuple, int] = {}
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        g = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n), dtype=np.int8)
-        for k in range(n):
-            digits[:, k] = (g >> (k * 3)) & (n - 1)
-        counts = np.zeros((stop - start, n), dtype=np.int8)
-        for val in range(n):
-            counts[:, val] = (digits == val).sum(axis=1)
-        counts[::-1].sort(axis=1)
-        counts.sort(axis=1)
-        counts = counts[:, ::-1]
-        sigs, cnts = np.unique(counts, axis=0, return_counts=True)
-        for sig, c in zip(sigs, cnts):
-            key = tuple(int(x) for x in sig if x)
-            out[key] = out.get(key, 0) + int(c)
-    return out
+    for prefix in product(range(n), repeat=n - 2):
+        counts = [0] * n
+        for x in prefix:
+            counts[x] += 1
+        for a in range(n):
+            counts[a] += 1
+            for b in range(n):
+                counts[b] += 1
+                key = tuple(sorted(counts))
+                out[key] = out.get(key, 0) + 1
+                counts[b] -= 1
+            counts[a] -= 1
+    return {tuple(c for c in reversed(key) if c): k for key, k in out.items()}
 
 
 def test_v3_substitution_census_by_direct_enumeration():

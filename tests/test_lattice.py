@@ -171,6 +171,23 @@ def test_exhaustive_census(exhaustive_census):
     assert set(surv) == {c.orbits for c in enumerate_cmms(2)}
 
 
+def test_survival_pass_matches_collapse_filter():
+    # one survival pass over explicit subs keeps exactly the collapse fixpoints
+    for v in (1, 2):
+        ctx = context(v, 1)
+        om = orbit_map(ctx)
+        labels = label_order(ctx.n)
+        for subs in (all_substitutions(v),
+                     list(enumerate_primes(v)) + [critical_substitution(v)]):
+            want = []
+            for r in range(len(labels) + 1):
+                for combo in combinations(labels, r):
+                    m = Minmatrix(ctx, sum(om[l].bits for l in combo))
+                    if collapse(m, subs) == m:
+                        want.append(frozenset(combo))
+            assert surviving_orbit_sums(v, subs) == want
+
+
 def test_default_census_matches():
     for v in (1, 2, 3):
         assert set(surviving_orbit_sums(v)) == {c.orbits for c in enumerate_cmms(v)}

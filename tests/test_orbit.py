@@ -7,7 +7,8 @@ from conftest import random_minmatrix
 from mmw.context import DegreeError, context
 from mmw.minmatrix import Minmatrix
 from mmw.orbit import (compute_orbits, display_label, expected_size,
-                       label_order, orbit_closed_form, orbit_map, orbit_of)
+                       label_order, orbit_closed_form, orbit_map, orbit_masks,
+                       orbit_of, orbit_position)
 from mmw.substitution import apply_minmatrix, enumerate_primes
 
 K11 = context(1, 1)
@@ -48,8 +49,28 @@ def test_k31_orbit_sizes():
 
 
 def test_worklist_equals_closed_form():
+    # the popcount-class masks that every other module reads agree with both
     for ctx in (context(0, 1), K11, K21, K31):
-        assert compute_orbits(ctx) == orbit_closed_form(ctx)
+        closed = orbit_closed_form(ctx)
+        assert compute_orbits(ctx) == closed
+        assert orbit_masks(ctx) == tuple(o.matrix.bits for o in closed)
+        assert orbit_map(ctx) == {o.label: o.matrix for o in closed}
+
+
+def test_v4_masks_partition_universe(rng):
+    # K[4,1]: 16 sections, 2**20 minterms, beyond the two oracles' reach
+    ctx = context(4, 1)
+    masks = orbit_masks(ctx)
+    labels = label_order(16)
+    assert len(masks) == len(labels) == 32
+    union = 0
+    for label, mask in zip(labels, masks):
+        assert mask.bit_count() == expected_size(label, 16)
+        assert union & mask == 0
+        union |= mask
+    assert union == ctx.full
+    for idx in rng.sample(range(ctx.universe_size), 2000):
+        assert (masks[orbit_position(*ctx.split(idx))] >> idx) & 1
 
 
 def test_orbits_partition_universe():

@@ -14,7 +14,7 @@ from mmw.substitution import (Substitution, all_substitutions,
                               apply_formula, apply_minmatrix, apply_minterm,
                               classify, compose, coverage_key,
                               critical_substitution, enumerate_primes, identity,
-                              is_prime, orbit_images)
+                              is_prime, orbit_images, prime_permutations)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -216,6 +216,26 @@ def test_prime_counts():
     assert len(enumerate_primes(1)) == 2
     assert len(enumerate_primes(2)) == 24
     assert len(enumerate_primes(3)) == 40320
+
+
+def reference_prime(v, pi):
+    """The prime of permutation ``pi``, one minterm and variable at a time."""
+    # sigma_k = sum of m_{pi(i)} over the i where p_k is true in m_i.
+    tables = [0] * v
+    for i in range(1 << v):
+        for k in range(v):
+            if (i >> (v - 1 - k)) & 1:
+                tables[k] |= 1 << pi[i]
+    return Substitution(v, tuple(tables))
+
+
+def test_enumerate_primes_matches_permutation_loop():
+    assert enumerate_primes(0) == (Substitution(0, ()),)
+    for v in range(4):
+        want = [reference_prime(v, pi) for pi in prime_permutations(v)]
+        assert list(enumerate_primes(v)) == want
+    with pytest.raises(ValueError):
+        enumerate_primes(4)
 
 
 APPENDIX_PRIMES_V2 = [
