@@ -15,9 +15,9 @@ the base system it extends; none of them is minimal or synthesized here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import formula as fm
+from ._record import Record
 from .context import context, enumerate_E, level0_minterm
 from .lattice import (STAR, InternalConsistencyError, SystemCoord,
                       cmm_from_coords, collapse, coord_of, map_to_star)
@@ -148,17 +148,20 @@ def expand_cyclic(text: str) -> str:
 # -- the named-system registry ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomVariant:
+class AxiomVariant(Record):
     """One published axiomatization: base system plus an added axiom."""
 
-    v: int         # the context the variant was stated in
-    base: str      # "K", "D" or "T"
-    text: str      # compact syntax; may use $+ / $* cyclic macros
+    __slots__ = ("v",       # the context the variant was stated in
+                 "base",    # "K", "D" or "T"
+                 "text")    # compact syntax; may use $+ / $* cyclic macros
+
+    def __init__(self, v: int, base: str, text: str):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "text", text)
 
 
-@dataclass(frozen=True)
-class ErratumVariant:
+class ErratumVariant(Record):
     """A published axiom string that does not land on its system.
 
     ``lands_at`` is the context coordinate its collapse actually reaches
@@ -166,20 +169,29 @@ class ErratumVariant:
     does land on the stated coordinate, where one was found.
     """
 
-    v: int
-    base: str
-    text: str
-    lands_at: tuple[str, int | str, int | str]
-    corrected: str | None = None
+    __slots__ = ("v", "base", "text", "lands_at", "corrected")
+
+    def __init__(self, v: int, base: str, text: str,
+                 lands_at: tuple[str, int | str, int | str],
+                 corrected: str | None = None):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "lands_at", lands_at)
+        object.__setattr__(self, "corrected", corrected)
 
 
-@dataclass(frozen=True)
-class NamedSystem:
-    name: str
-    coord: SystemCoord
-    origin_v: int
-    variants: tuple[AxiomVariant, ...]
-    errata: tuple[ErratumVariant, ...] = ()
+class NamedSystem(Record):
+    __slots__ = ("name", "coord", "origin_v", "variants", "errata")
+
+    def __init__(self, name: str, coord: SystemCoord, origin_v: int,
+                 variants: tuple[AxiomVariant, ...],
+                 errata: tuple[ErratumVariant, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "origin_v", origin_v)
+        object.__setattr__(self, "variants", variants)
+        object.__setattr__(self, "errata", errata)
 
 
 BASE_COORDS = {

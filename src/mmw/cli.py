@@ -1,8 +1,8 @@
 """Command-line surface: mmw <command> [flags].
 
-Exit codes: 0 success, 1 domain error (syntax, caps, bad coordinates),
-2 internal consistency failure.  The environment variable
-MMW_UNIVERSE_CAP overrides the default context cap.
+Exit codes: 0 success, 1 domain error (syntax, caps, bad coordinates,
+formulas nested too deeply), 2 internal consistency failure.  The
+environment variable MMW_UNIVERSE_CAP overrides the default context cap.
 """
 
 from __future__ import annotations
@@ -316,6 +316,10 @@ def main(argv=None) -> int:
     except (fm.FormulaSyntaxError, CapExceededError, DegreeError,
             ContextMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # parse, render, modal_degree and variables recurse on the formula
+        print("error: formula nested too deeply", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ any index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 __all__ = [
     "Formula", "Const0", "Const1", "Var", "Not", "And", "Or", "Implies",
@@ -23,9 +23,10 @@ __all__ = [
 VAR_LETTERS = "pqrs"
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     """Base class; concrete nodes are the subclasses below."""
+
+    __slots__ = ()
 
     def __and__(self, other: Formula) -> Formula:
         return And(self, other)
@@ -37,58 +38,139 @@ class Formula:
         return Not(self)
 
 
-@dataclass(frozen=True)
+# Nodes are compared and hashed in bulk (memo tables, equality of whole
+# trees), so each class spells out __eq__ and __hash__ in place of
+# Record's loop over the fields.  Classes of one shape do not share them:
+# the interpreter specializes an attribute read in a function for one
+# class, and a function shared by several classes reads unspecialized.
+
 class Const0(Formula):
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Const1(Formula):
-    pass
+    __slots__ = ()
+    __eq__ = Const0.__eq__
+    __hash__ = Const0.__hash__
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
+
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __init__ = And.__init__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __init__ = And.__init__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __init__ = And.__init__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    __init__ = Not.__init__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child,))
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    __init__ = Not.__init__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.child,) == (other.child,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child,))
 
 
 def modal_degree(f: Formula) -> int:

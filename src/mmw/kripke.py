@@ -23,10 +23,10 @@ the formula, and is the oracle the structural rule is tested against.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from . import formula as fm
+from ._record import Record
 from .context import CapExceededError, context
 from .lattice import STAR, SystemCoord, map_to_star
 from .minmatrix import normalize
@@ -40,18 +40,19 @@ __all__ = [
 DEFAULT_WORLD_CAP = 6
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """Worlds 0..size-1 with an adjacency bit row per world."""
 
-    rows: tuple[int, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len(self.rows) < 1:
+    def __init__(self, rows: tuple[int, ...]):
+        if len(rows) < 1:
             raise ValueError("a frame needs at least one world")
-        for r in self.rows:
-            if not 0 <= r < (1 << self.size):
+        limit = 1 << len(rows)
+        for r in rows:
+            if not 0 <= r < limit:
                 raise ValueError("relation row out of range")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
@@ -70,21 +71,21 @@ class Frame:
         return sum(r << (w * self.size) for w, r in enumerate(self.rows))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """A frame plus, per world, the level-0 minterm fixing all v variables."""
 
-    frame: Frame
-    v: int
-    assignment: tuple[int, ...]
+    __slots__ = ("frame", "v", "assignment")
 
-    def __post_init__(self):
-        n = 1 << self.v
-        if len(self.assignment) != self.frame.size:
+    def __init__(self, frame: Frame, v: int, assignment: tuple[int, ...]):
+        n = 1 << v
+        if len(assignment) != frame.size:
             raise ValueError("one minterm per world required")
-        for a in self.assignment:
+        for a in assignment:
             if not 0 <= a < n:
                 raise ValueError("assignment out of range")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "assignment", assignment)
 
     def var_true(self, w: int, k: int) -> bool:
         return bool((self.assignment[w] >> (self.v - 1 - k)) & 1)
@@ -190,8 +191,7 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class FrameCondition:
+class FrameCondition(Record):
     """Per-world condition F(x,y): the C branch or the W branch.
 
     C requires an irreflexive world with a bounded number of seen others
@@ -200,9 +200,12 @@ class FrameCondition:
     y = -1 makes the W branch unsatisfiable.
     """
 
-    plane: str
-    x: int | str
-    y: int | str
+    __slots__ = ("plane", "x", "y")
+
+    def __init__(self, plane: str, x: int | str, y: int | str):
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def holds_at(self, fr: Frame, w: int) -> bool:
         row = fr.rows[w]
@@ -225,13 +228,16 @@ def iter_frames(size: int):
         yield Frame.from_relation(size, rel)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    coord: SystemCoord
-    v: int
-    max_worlds: int
-    frames_checked: int
-    violations: tuple[dict, ...]
+class CorrespondenceReport(Record):
+    __slots__ = ("coord", "v", "max_worlds", "frames_checked", "violations")
+
+    def __init__(self, coord: SystemCoord, v: int, max_worlds: int,
+                 frames_checked: int, violations: tuple[dict, ...]):
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "max_worlds", max_worlds)
+        object.__setattr__(self, "frames_checked", frames_checked)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

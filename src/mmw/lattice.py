@@ -11,10 +11,10 @@ n**n substitutions, v <= 2) exists as the validating oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
 from .orbit import label_order, orbit_labels, orbit_masks
@@ -35,20 +35,20 @@ class InternalConsistencyError(RuntimeError):
     """A result that the theory rules out; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class SystemCoord:
+class SystemCoord(Record):
     """Lattice position (plane, x, y); x counts Dc orbits, y counts Dw."""
 
-    plane: str
-    x: int | str
-    y: int | str
+    __slots__ = ("plane", "x", "y")
 
-    def __post_init__(self):
-        if self.plane not in ("K", "D"):
-            raise ValueError(f"plane must be K or D, not {self.plane!r}")
-        for c in (self.x, self.y):
+    def __init__(self, plane: str, x: int | str, y: int | str):
+        if plane not in ("K", "D"):
+            raise ValueError(f"plane must be K or D, not {plane!r}")
+        for c in (x, y):
             if not (c == STAR or isinstance(c, int)):
                 raise ValueError(f"coordinate {c!r} must be an integer or '*'")
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Concrete (x, y) in a context with n sections; validates ranges."""
@@ -66,13 +66,15 @@ class SystemCoord:
         return f"S_{self.plane}({self.x},{self.y})"
 
 
-@dataclass(frozen=True)
-class CMM:
+class CMM(Record):
     """A characteristic minmatrix: coordinate, orbit labels, bit matrix."""
 
-    coord: SystemCoord
-    orbits: frozenset[str]
-    matrix: Minmatrix
+    __slots__ = ("coord", "orbits", "matrix")
+
+    def __init__(self, coord: SystemCoord, orbits: frozenset[str], matrix: Minmatrix):
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def collapse(m: Minmatrix, subs=None) -> Minmatrix:
@@ -250,10 +252,13 @@ def map_to_star(coord: SystemCoord, v: int) -> SystemCoord:
     return SystemCoord(coord.plane, x, y)
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
-    nodes: tuple[CMM, ...]
-    edges: tuple[tuple[SystemCoord, SystemCoord, str], ...]
+class HasseDiagram(Record):
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[CMM, ...],
+                 edges: tuple[tuple[SystemCoord, SystemCoord, str], ...]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""

@@ -15,9 +15,8 @@ context, modal nodes reading their child's mask one level down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formula as fm
+from ._record import Record
 from .context import Context, DegreeError, context
 
 __all__ = ["Minmatrix", "ContextMismatchError", "normalize", "is_theorem_K"]
@@ -27,12 +26,24 @@ class ContextMismatchError(ValueError):
     """Boolean operation applied to minmatrices from different contexts."""
 
 
-@dataclass(frozen=True)
-class Minmatrix:
+class Minmatrix(Record):
     """A set of minterms of ``ctx``; bit i set means minterm i is present."""
 
-    ctx: Context
-    bits: int
+    __slots__ = ("ctx", "bits")
+
+    def __init__(self, ctx: Context, bits: int):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "bits", bits)
+
+    # Compared in bulk (collapse fixpoints, the survival pass), so Record's
+    # loop over the fields is spelled out here.
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return (self.ctx, self.bits) == (other.ctx, other.bits)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.bits))
 
     # -- construction ------------------------------------------------------
 
@@ -83,11 +94,12 @@ class Minmatrix:
 
     def members(self) -> tuple[int, ...]:
         """Ascending minterm indices."""
-        bits, out, i = self.bits, [], 0
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
+        digits = bin(self.bits)[:1:-1]      # digits[i] is bit i
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
         return tuple(out)
 
     def is_theorem_K(self) -> bool:

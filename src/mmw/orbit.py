@@ -15,10 +15,10 @@ constructions above are their oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from ._record import Record
 from .context import Context, DegreeError
 from .minmatrix import Minmatrix
 
@@ -29,10 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrimeOrbit:
-    label: str
-    matrix: Minmatrix
+class PrimeOrbit(Record):
+    __slots__ = ("label", "matrix")
+
+    def __init__(self, label: str, matrix: Minmatrix):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:

@@ -28,12 +28,12 @@ orbits at once (``orbit_images``).  Nothing is cached per substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
 
 from . import formula as fm
+from ._record import Record
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
 from .orbit import orbit_masks, orbit_position
@@ -46,18 +46,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Substitution:
-    v: int
-    tables: tuple[int, ...]
+class Substitution(Record):
+    __slots__ = ("v", "tables")
 
-    def __post_init__(self):
-        if len(self.tables) != self.v:
+    def __init__(self, v: int, tables: tuple[int, ...]):
+        if len(tables) != v:
             raise ValueError("need one truth table per variable")
-        n = 1 << self.v
-        for t in self.tables:
-            if not 0 <= t < (1 << n):
+        limit = 1 << (1 << v)
+        for t in tables:
+            if not 0 <= t < limit:
                 raise ValueError("table out of range")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "tables", tables)
 
     @property
     def n(self) -> int:
@@ -263,13 +263,15 @@ def all_substitutions(v: int):
 # -- classification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DependencyClass:
+class DependencyClass(Record):
     """Substitutions sharing one orbit-coverage pattern."""
 
-    key: tuple
-    size: int
-    representative: Substitution
+    __slots__ = ("key", "size", "representative")
+
+    def __init__(self, key: tuple, size: int, representative: Substitution):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "representative", representative)
 
     @property
     def key_digest(self) -> str:

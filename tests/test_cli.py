@@ -190,12 +190,30 @@ def test_dot_format_only_on_lattice(capsys):
 
 def test_cli_import_loads_no_numpy():
     # numpy serves only the extended tests, and hashlib only classify's
-    # key digests; the cold CLI path stays free of both
+    # key digests; the cold CLI path stays free of both.  The records are
+    # plain classes, so the import adds neither dataclasses nor the inspect
+    # machinery it pulls in (a site hook may have loaded them before).
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mmw.cli; print('numpy' in sys.modules, 'hashlib' in sys.modules)"],
+         "import sys; before = set(sys.modules); import mmw.cli; "
+         "print('numpy' in sys.modules, 'hashlib' in sys.modules, "
+         "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
         env=subprocess_env(), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "False False\n"
+    assert proc.returncode == 0 and proc.stdout == "False False []\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--v", "1", "--d", "1", "!" * 3000 + "p"),
+    ("system-of", "p" * 3000),
+])
+def test_deep_formula_exits_cleanly(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from mmw.cli import main; sys.exit(main())", *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: formula nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv", [("normalize", "--v", "1", "[]p->p"),

@@ -238,3 +238,38 @@ def test_powerset_lattice_structure(rng):
         assert (a | b).members() == tuple(sorted(set(a.members()) | set(b.members())))
         assert (a & b).members() == tuple(sorted(set(a.members()) & set(b.members())))
         assert (~a).members() == tuple(i for i in range(8) if i not in a.members())
+
+
+def reference_members(bits: int) -> tuple[int, ...]:
+    """Ascending set bits, clearing the lowest one per member."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def test_members_matches_bit_clearing_loop(rng):
+    for v in range(4):
+        ctx = context(v, 1)
+        for m in (Minmatrix.empty(ctx), Minmatrix.full(ctx),
+                  Minmatrix(ctx, 1 << (ctx.universe_size - 1))):
+            assert m.members() == reference_members(m.bits)
+        for _ in range(25):
+            m = random_minmatrix(rng, v)
+            assert m.members() == reference_members(m.bits)
+
+
+def test_members_of_v4_orbit():
+    # Dc8 of K[4,1]: 102,960 of 2**20 minterms
+    from mmw.orbit import expected_size, label_order, orbit_masks
+    ctx = context(4, 1)
+    mask = orbit_masks(ctx)[label_order(16).index("Dc8")]
+    members = Minmatrix(ctx, mask).members()
+    assert len(members) == expected_size("Dc8", 16) == 102960
+    assert list(members) == sorted(members)
+    rebuilt = 0
+    for i in members:
+        rebuilt |= 1 << i
+    assert rebuilt == mask
