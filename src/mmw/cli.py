@@ -86,6 +86,11 @@ def _registry_name(coord: SystemCoord) -> str | None:
     return entry.name if entry else None
 
 
+def _label_key(label: str) -> tuple[str, int]:
+    """Sort key (prefix, index): Dc2 before Dc10."""
+    return label[:2], int(label[2:])
+
+
 def cmd_lattice(args) -> int:
     cmms = enumerate_cmms(args.v)
     if args.format == "json":
@@ -95,7 +100,7 @@ def cmd_lattice(args) -> int:
             out.append({"coord": str(c.coord), "star": str(star),
                         "plane": c.coord.plane,
                         "x": c.coord.x, "y": c.coord.y,
-                        "orbits": sorted(c.orbits),
+                        "orbits": sorted(c.orbits, key=_label_key),
                         "name": _registry_name(star),
                         "minterms": list(c.matrix.members())})
         print(json.dumps(out))
@@ -105,8 +110,8 @@ def cmd_lattice(args) -> int:
         for c in cmms:
             star = map_to_star(c.coord, args.v)
             name = _registry_name(star)
-            labels = "+".join(display_label(l, args.v) for l in sorted(c.orbits)) \
-                or "(empty)"
+            labels = "+".join(display_label(l, args.v)
+                              for l in sorted(c.orbits, key=_label_key)) or "(empty)"
             tag = f"  ({name})" if name else ""
             print(f"{c.coord}  ->  {star}  [{labels}]{tag}")
     return 0

@@ -85,11 +85,20 @@ class Context:
     # -- bit masks -------------------------------------------------------
 
     def index_bit_mask(self, bit: int) -> int:
-        """Mask of all universe indices whose bit ``bit`` is set."""
-        period = 1 << (bit + 1)
+        """Mask of all universe indices whose bit ``bit`` is set.
+
+        One period (``2**bit`` zeros, then as many ones) is repeated by
+        doubling, linear in the universe size; dividing by the period's
+        repunit is quadratic once the period is wide (K[4,1]'s prefix bits).
+        """
         half = 1 << bit
-        block = ((1 << half) - 1) << half
-        return block * (((1 << self.universe_size) - 1) // ((1 << period) - 1))
+        if half >= self.universe_size:
+            return 0
+        mask, width = ((1 << half) - 1) << half, half << 1
+        while width < self.universe_size:
+            mask |= mask << width
+            width <<= 1
+        return mask
 
     def var_mask(self, k: int) -> int:
         """Mask of minterms in which variable p_k is positive."""

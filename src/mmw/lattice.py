@@ -83,8 +83,9 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
     With ``subs=None`` the default set (primes plus one critical
     substitution) is used in orbit space: closure under the whole prime
     group keeps exactly the complete prime orbits inside xi, and the image
-    of a union of orbits is the union of their images, so each round
-    intersects the kept orbits with the critical images of those orbits.
+    of a union of orbits is the union of their images, so each round keeps
+    the orbits that the critical images of the kept orbits cover.  Those
+    rounds run on the 2n-bit set of kept orbits (``_cover_patterns``).
     """
     if subs is None:
         return _collapse_default(m)
@@ -101,33 +102,84 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
 
 def _collapse_default(m: Minmatrix) -> Minmatrix:
     ctx = m.ctx
-    if ctx.v > 3:
-        raise ValueError("collapse supports v <= 3")
     if ctx.d == 0:
         # One orbit: anything short of [1] collapses to [0].
         return m if m.is_theorem_K() else Minmatrix.empty(ctx)
     masks = orbit_masks(ctx)
-    keep = [k for k, mask in enumerate(masks) if m.bits & mask == mask]
-    if ctx.v >= 1:
-        images = _critical_orbit_images(ctx.v)
-        while keep:
-            image = 0
-            for k in keep:
-                image |= images[k]
-            kept = [k for k in keep if masks[k] & image == masks[k]]
-            if len(kept) == len(keep):
-                break
-            keep = kept
+    missing, keep = ctx.full ^ m.bits, 0
+    for bit, mask in zip(_ORBIT_BITS, masks):
+        if not missing & mask:
+            keep |= bit
+    keep = _kept_fixpoint(keep, _cover_patterns(ctx.v))
     bits = 0
-    for k in keep:
-        bits |= masks[k]
+    while keep:
+        low = keep & -keep
+        bits |= masks[low.bit_length() - 1]
+        keep ^= low
     return Minmatrix(ctx, bits)
 
 
+# bit k stands for the prime orbit at position k of ``label_order``; K[4,1]
+# has 32 orbits, and K[5,1]'s 64 would take 2**37 minterms
+_ORBIT_BITS = tuple(1 << k for k in range(64))
+
+
+def _covered(keep: int, patterns: tuple[int, int, int, int]) -> int:
+    """The orbits that the critical images of the orbits in ``keep`` cover.
+
+    Bit j is read from the pattern of orbits j-2 and j-1 in ``keep``; it
+    decides orbit j only when orbit j is itself in ``keep``.
+    """
+    alone, after2, after1, after12 = patterns
+    a, b = keep << 2, keep << 1        # bit j: orbit j-2, orbit j-1 kept
+    return alone | after2 & a | after1 & b | after12 & a & b
+
+
+def _kept_fixpoint(keep: int, patterns: tuple[int, int, int, int]) -> int:
+    """Drop the kept orbits left uncovered until every kept orbit is covered."""
+    while True:
+        kept = keep & _covered(keep, patterns)
+        if kept == keep:
+            return keep
+        keep = kept
+
+
 @lru_cache(maxsize=None)
-def _critical_orbit_images(v: int) -> tuple[int, ...]:
-    """The critical substitution's image of each prime orbit of K[v,1]."""
-    return tuple(orbit_images(context(v, 1), critical_substitution(v)))
+def _cover_patterns(v: int) -> tuple[int, int, int, int]:
+    """Four masks over the 2n prime orbits of K[v,1], one per pattern.
+
+    The critical image of orbit i meets only orbits i, i+1 and i+2, so
+    whether a kept orbit j lies inside the image of the kept orbits
+    depends only on which of orbits j-2 and j-1 are kept.  Bit j of
+    ``patterns[p]`` says orbit j is covered by its own image plus that of
+    orbit j-2 if ``p & 1`` and of orbit j-1 if ``p & 2``.  A larger
+    pattern covers at least as much, so the masks are nested.  At v = 0
+    there is no critical substitution and every orbit is covered.
+    """
+    ctx = context(v, 1)
+    masks = orbit_masks(ctx)
+    if v == 0:
+        full = (1 << len(masks)) - 1
+        return full, full, full, full
+    images = orbit_images(ctx, critical_substitution(v))
+    for i, image in enumerate(images):
+        window = 0
+        for mask in masks[i:i + 3]:
+            window |= mask
+        if image & ~window:
+            raise InternalConsistencyError(
+                f"the critical image of orbit {i} meets an orbit outside {i}..{i + 2}")
+    patterns = [0, 0, 0, 0]
+    for j, mask in enumerate(masks):
+        for p in range(4):
+            cover = images[j]
+            if p & 1 and j >= 2:
+                cover |= images[j - 2]
+            if p & 2 and j >= 1:
+                cover |= images[j - 1]
+            if mask & cover == mask:
+                patterns[p] |= 1 << j
+    return tuple(patterns)
 
 
 def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
@@ -220,25 +272,45 @@ def dependency_rules_hold(labels: frozenset[str] | set[str], n: int) -> bool:
 def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
     """Orbit-label sets whose union is a collapse fixpoint under ``subs``.
 
-    The exhaustive census behind the lattice: of the 2**(2n) candidate
-    orbit sums, exactly the coordinate CMMs survive.  With explicit
-    ``subs`` one pass decides it: m is a fixpoint iff no substitution
-    shrinks it, m & (m o sigma) == m for every sigma, so the pass stops at
-    the first sigma that does.
+    The census behind the lattice: of the 2**(2n) candidate orbit sums,
+    exactly the coordinate CMMs survive.  Sets come by size, then in
+    ``itertools.combinations`` order of ``label_order``.
+
+    With the default set an orbit sum is a fixpoint iff each of its orbits
+    is covered for the pattern of its two predecessors (``_covered``), so
+    a depth-first walk in label order decides orbit j as soon as it is
+    added and reaches only survivors.  With explicit ``subs`` each of the
+    2**(2n) sums is tested: m is a fixpoint iff no substitution shrinks
+    it, m & (m o sigma) == m for every sigma, so the test stops at the
+    first sigma that does.
     """
     ctx = context(v, 1)
     labels = label_order(ctx.n)
+    if subs is None:
+        return _walk_survivors(labels, _cover_patterns(v))
     survivors = []
     for r in range(len(labels) + 1):
         for combo in combinations(labels, r):
             m = _orbit_union(ctx, combo)
-            if subs is None:
-                fixed = collapse(m) == m
-            else:
-                fixed = all(m & apply_minmatrix(m, s) == m for s in subs)
-            if fixed:
+            if all(m & apply_minmatrix(m, s) == m for s in subs):
                 survivors.append(frozenset(combo))
     return survivors
+
+
+def _walk_survivors(labels: list[str],
+                    patterns: tuple[int, int, int, int]) -> list[frozenset[str]]:
+    found = []
+    stack = [(0, 0)]                   # (next orbit to decide, kept so far)
+    while stack:
+        j, keep = stack.pop()
+        if j == len(labels):
+            found.append([k for k in range(j) if keep >> k & 1])
+            continue
+        stack.append((j + 1, keep))
+        if _covered(keep, patterns) >> j & 1:
+            stack.append((j + 1, keep | 1 << j))
+    found.sort(key=lambda ks: (len(ks), ks))
+    return [frozenset(labels[k] for k in ks) for ks in found]
 
 
 def map_to_star(coord: SystemCoord, v: int) -> SystemCoord:

@@ -1,13 +1,16 @@
 import pytest
 
+from conftest import random_formula
+
 from mmw.axiom import (AxiomVariant, alpha_D, alpha_for, alpha_K,
                        alpha_prime_K, expand_cyclic, named_systems,
                        registry_lookup, system_of, variant_collapse)
 from mmw.context import context
-from mmw.formula import parse
+from mmw.formula import parse, rename_vars, variables
 from mmw.lattice import (STAR, SystemCoord, cmm_from_coords, collapse,
                          enumerate_cmms, map_to_star)
 from mmw.minmatrix import normalize
+from mmw.orbit import orbit_labels
 
 K11 = context(1, 1)
 
@@ -114,9 +117,59 @@ def test_system_of_degree_guard():
 
 
 def test_system_of_variable_guard():
-    # the collapse machinery needs enumerable primes, so v <= 3
+    # five variables need K[5,1], 2^37 minterms, over the default context cap
     with pytest.raises(ValueError):
         system_of(parse("pqrs->[]p4"))
+
+
+def largest_coordinate_inside(m, v):
+    """The star coordinate of the largest coordinate CMM inside ``m``.
+
+    Collapse keeps the largest union of CMMs below its input, and CMMs
+    are closed under union, so this oracle needs neither the orbit trim
+    nor the critical substitution.
+    """
+    n = 1 << v
+    whole = set(orbit_labels(m))
+    inside = []
+    for plane in ("K", "D"):
+        for y in range(-1, n):
+            for x in range(min(y + 1, n - 1) + 1):
+                labels = {"Vv0"} if plane == "K" else set()
+                if y >= 0:
+                    labels |= {"Dd0"} | {f"Dw{k}" for k in range(1, y + 1)}
+                labels |= {f"Dc{k}" for k in range(1, x + 1)}
+                if labels <= whole:
+                    inside.append((SystemCoord(plane, x, y), labels))
+    union = set().union(*(labels for _, labels in inside))
+    best = [coord for coord, labels in inside if labels == union]
+    assert len(best) == 1
+    return map_to_star(best[0], v)
+
+
+def test_system_of_four_variables(rng):
+    # seeded random 4-variable formulas, which mostly name the extreme
+    # systems, then every v=2 alpha moved onto two of the four variables,
+    # which lands on its own star coordinate: 28 distinct systems
+    assert system_of(parse("pqrs->[](pqrs)")) == (SystemCoord("K", 0, 0), 4)
+    k41 = context(4, 1)
+    checked = 0
+    while checked < 12:
+        f = random_formula(rng, 4, depth=4)
+        if variables(f) != 4:
+            continue
+        want = largest_coordinate_inside(normalize(f, k41), 4)
+        assert system_of(f) == (want, 4)
+        checked += 1
+    seen = set()
+    for c in enumerate_cmms(2):
+        target = rng.choice([(0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2)])
+        f = rename_vars(alpha_for(c.coord, 2), dict(enumerate(target)))
+        want = largest_coordinate_inside(normalize(f, k41), 4)
+        assert want == map_to_star(c.coord, 2)
+        assert system_of(f) == (want, 4)
+        seen.add(want)
+    assert len(seen) == 28
 
 
 def test_expand_cyclic():

@@ -83,6 +83,17 @@ def test_lattice_json_counts(capsys):
     assert {"K", "D", "T", "KWX6", "KWZ5"} <= names
 
 
+def test_lattice_labels_in_index_order(capsys):
+    # by prefix, then index: Dcccc9 before Dcccc10; at v <= 3 every index
+    # has one digit, so the order there is plain string order
+    code, out, _ = run(capsys, "lattice", "--v", "4")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 304
+    assert "+Dcccc9+Dcccc10+" in lines[-1] and lines[-1].endswith("+Dwwww15]  (D)")
+    code, out, _ = run(capsys, "lattice", "--format", "json", "--v", "3")
+    assert all(entry["orbits"] == sorted(entry["orbits"]) for entry in json.loads(out))
+
+
 def test_lattice_dot(capsys):
     code, out, _ = run(capsys, "lattice", "--format", "dot", "--v", "1")
     assert code == 0
@@ -110,6 +121,12 @@ def test_system_of_command(capsys):
     code, out, _ = run(capsys, "system-of", "pq<>p<>q-><>(pq)")
     assert code == 0
     assert "S_K(1,*)" in out and "K[2,1]" in out and "KW8" in out
+
+
+def test_system_of_four_variables_command(capsys):
+    code, out, _ = run(capsys, "system-of", "pqrs->[](pqrs)")
+    assert code == 0
+    assert "S_K(0,0)" in out and "K[4,1]" in out
 
 
 def test_classify_command(capsys):

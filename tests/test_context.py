@@ -115,3 +115,14 @@ def test_enumerate_E_range_error():
         enumerate_E(1, 3, "all")
     with pytest.raises(ValueError):
         enumerate_E(1, 1, "bogus")
+
+
+def test_index_bit_mask_matches_repunit_division():
+    # the doubling build against one period times the repunit of its width
+    for v, d in ((0, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2)):
+        ctx = context(v, d)
+        for bit in range(ctx.universe_size.bit_length() + 1):
+            half = 1 << bit
+            block = ((1 << half) - 1) << half
+            want = block * (ctx.full // ((1 << (2 * half)) - 1))
+            assert ctx.index_bit_mask(bit) == want

@@ -5,15 +5,18 @@ import pytest
 from conftest import random_minmatrix
 from test_substitution import reference_apply, reference_minterm_images
 
+import mmw.lattice
 from mmw.context import context
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
-from mmw.lattice import (STAR, SystemCoord, build_hasse, cmm_from_coords,
-                         collapse, coord_of, coverage, dependency_rules_hold,
-                         enumerate_cmms, map_to_star, surviving_orbit_sums)
+from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hasse,
+                         cmm_from_coords, collapse, coord_of, coverage,
+                         dependency_rules_hold, enumerate_cmms, map_to_star,
+                         surviving_orbit_sums)
 from mmw.orbit import label_order, orbit_labels, orbit_map, orbit_masks
 from mmw.substitution import (Substitution, all_substitutions,
-                              critical_substitution, enumerate_primes)
+                              critical_substitution, enumerate_primes,
+                              orbit_images)
 
 K11 = context(1, 1)
 
@@ -112,6 +115,73 @@ def test_collapse_default_matches_minterm_loop(rng):
             assert collapse(m) == reference_collapse_default(m, crit_images)
 
 
+def orbit_space_collapse(m, images):
+    """The default collapse as rounds over a list of kept orbits (the oracle).
+
+    Each round ORs the critical images ``images`` of the kept orbits and
+    keeps the orbits inside that image; ``images`` is None at v = 0.
+    """
+    masks = orbit_masks(m.ctx)
+    keep = [k for k, mask in enumerate(masks) if m.bits & mask == mask]
+    while keep and images:
+        image = 0
+        for k in keep:
+            image |= images[k]
+        kept = [k for k in keep if masks[k] & image == masks[k]]
+        if len(kept) == len(keep):
+            break
+        keep = kept
+    bits = 0
+    for k in keep:
+        bits |= masks[k]
+    return Minmatrix(m.ctx, bits)
+
+
+def orbit_sums(v):
+    """(labels, minmatrix) of every orbit sum, by size, in combinations order."""
+    ctx = context(v, 1)
+    labels, masks = label_order(ctx.n), orbit_masks(ctx)
+    for r in range(len(labels) + 1):
+        for combo in combinations(range(len(labels)), r):
+            yield (frozenset(labels[k] for k in combo),
+                   Minmatrix(ctx, sum(masks[k] for k in combo)))
+
+
+def test_collapse_matches_orbit_space_loop(rng):
+    # every orbit sum at v = 0..3, then orbit sums with minterms removed
+    # or added and plain random minmatrices
+    for v in (0, 1, 2, 3):
+        ctx = context(v, 1)
+        images = orbit_images(ctx, critical_substitution(v)) if v else None
+        for _, m in orbit_sums(v):
+            assert collapse(m) == orbit_space_collapse(m, images)
+        size = ctx.universe_size
+        for _ in range(200):
+            bits = sum(mask for mask in orbit_masks(ctx) if rng.random() < 0.7)
+            noise = rng.getrandbits(size) & rng.getrandbits(size)
+            roll = rng.random()
+            if roll < 0.4:
+                bits &= ~noise
+            elif roll < 0.8:
+                bits |= noise
+            else:
+                bits = rng.getrandbits(size)
+            m = Minmatrix(ctx, bits)
+            assert collapse(m) == orbit_space_collapse(m, images)
+
+
+def test_cover_patterns_reject_an_image_beyond_the_window(monkeypatch):
+    # the patterns read only orbits j-2 and j-1, so an image that reaches
+    # three orbits further is a broken premise, not a census result
+    def wide(ctx, s):
+        images = orbit_images(ctx, s)
+        images[0] |= orbit_masks(ctx)[3]
+        return images
+    monkeypatch.setattr(mmw.lattice, "orbit_images", wide)
+    with pytest.raises(InternalConsistencyError):
+        mmw.lattice._cover_patterns.__wrapped__(2)
+
+
 def test_collapse_default_equals_exhaustive(rng):
     # the sufficiency of primes + one critical substitution at v <= 2
     for v in (1, 2):
@@ -191,6 +261,31 @@ def test_survival_pass_matches_collapse_filter():
 def test_default_census_matches():
     for v in (1, 2, 3):
         assert set(surviving_orbit_sums(v)) == {c.orbits for c in enumerate_cmms(v)}
+
+
+def test_census_walk_matches_collapse_loop():
+    # the walk against collapsing each of the 2**(2n) orbit sums, as lists
+    for v in (0, 1, 2, 3):
+        want = [labels for labels, m in orbit_sums(v) if collapse(m) == m]
+        assert surviving_orbit_sums(v) == want
+
+
+def test_census_walk_matches_exhaustive_census(exhaustive_census):
+    for v in (1, 2):
+        assert surviving_orbit_sums(v) == exhaustive_census[v]
+
+
+def test_k41_census():
+    # the K[4,1] lattice: 2**32 orbit sums, of which exactly the n(n+3)
+    # coordinate CMMs survive, each a fixpoint that passes DR1-DR3
+    survivors = surviving_orbit_sums(4)
+    cmms = enumerate_cmms(4)
+    assert len(survivors) == len(cmms) == 16 * 19 == 304
+    assert set(survivors) == {c.orbits for c in cmms}
+    for c in cmms:
+        assert dependency_rules_hold(c.orbits, 16)
+        assert collapse(c.matrix) == c.matrix
+        assert coord_of(c.matrix) == c.coord
 
 
 def test_union_of_cmms_is_cmm():

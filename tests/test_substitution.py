@@ -326,6 +326,7 @@ from mmw.lattice import collapse, enumerate_cmms, surviving_orbit_sums
 from mmw.substitution import all_substitutions, classify, enumerate_primes
 classify(3, "reduced")
 surviving_orbit_sums(2, all_substitutions(2))
+surviving_orbit_sums(3)
 for c in enumerate_cmms(3):
     collapse(c.matrix)
 enumerate_primes(3)
@@ -338,9 +339,11 @@ print(sum(stat.size for stat in snapshot.statistics("filename")))
 
 def test_substitution_work_leaves_little_memory_held():
     # nothing is cached per substitution: after classify(3), the exhaustive
-    # v=2 census (all 256 substitutions), the default collapse of every v=3
-    # CMM and the 40,320 v=3 primes, mmw's own allocations that are still
-    # alive (import-time tables, ~160 KiB, included) stay under 256 KiB
+    # v=2 census (all 256 substitutions), the default v=3 census, the
+    # default collapse of every v=3 CMM and the 40,320 v=3 primes, mmw's
+    # own allocations that are still alive (import-time tables, ~160 KiB,
+    # included) stay under 256 KiB.  The work stays at v <= 3: the K[4,1]
+    # orbit masks and context masks alone hold ~7 MiB.
     from test_cli import subprocess_env
     proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT],
                           env=subprocess_env(), capture_output=True, text=True,
