@@ -13,9 +13,13 @@ c = min(k, n), k being the number of other worlds it sees.
 * A reflexive world realizes every (s, e) with s in e and
   |e| <= min(k + 1, n).
 
-So ``type_table`` reads a minmatrix once into a table of 2(n+1) types,
-and a frame is valid iff every world's type is in it: O(|W|) per frame
-instead of n**|W| valuations.  ``valid_on_frame(method="direct")``
+Those minterms form whole prime orbits, so ``type_table`` reads the set
+of orbits wholly inside a minmatrix (``orbit.complete_orbits``) into a
+table of 2(n+1) types, and a frame is valid iff every world's type is in
+it: O(|W|) per frame instead of n**|W| valuations.
+``correspondence_check`` takes the table of the coordinate's CMM: frame
+validity is closed under substitution, so an axiom and its collapse are
+valid on the same frames.  ``valid_on_frame(method="direct")``
 enumerates every valuation with ``eval_model``, a direct recursion over
 the formula, and is the oracle the structural rule is tested against.
 """
@@ -28,8 +32,9 @@ from itertools import product
 from . import formula as fm
 from ._record import Record
 from .context import CapExceededError, context
-from .lattice import STAR, SystemCoord, map_to_star
-from .minmatrix import normalize
+from .lattice import STAR, SystemCoord, cmm_from_coords, map_to_star
+from .minmatrix import Minmatrix, normalize
+from .orbit import complete_orbits
 
 __all__ = [
     "Frame", "Model", "FrameCondition", "eval_model", "valid_on_frame",
@@ -66,9 +71,6 @@ class Frame(Record):
         """Frame number ``rel``: bit w*size+u set means w sees u."""
         mask = (1 << size) - 1
         return Frame(tuple((rel >> (w * size)) & mask for w in range(size)))
-
-    def relation_number(self) -> int:
-        return sum(r << (w * self.size) for w, r in enumerate(self.rows))
 
 
 class Model(Record):
@@ -126,34 +128,28 @@ def _seen(frame: Frame, w: int):
         row ^= low
 
 
-def type_table(bits: int, v: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """Per-type validity table ``ok[loop][c]`` of the K[v,1] minmatrix ``bits``.
+def type_table(m: Minmatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Per-type validity table ``ok[loop][c]`` of the K[v,1] minmatrix ``m``.
 
     A world has type (loop, c) when its self-loop bit is ``loop`` and it
     sees k other worlds with c = min(k, n); ``ok[loop][c]`` is true iff
-    ``bits`` holds at such a world under every valuation.  A type fails
-    when it can realize a missing minterm; both rows are downward closed
-    in c.
+    ``m`` holds at such a world under every valuation.  The minterms a
+    type realizes form whole prime orbits, so it is ok iff they are among
+    ``complete_orbits(m)``: a blind world realizes orbit 0, an irreflexive
+    one orbits 1..2c, and a reflexive one the odd orbits up to
+    2 min(c + 1, n) - 1 (its own factor positive).
     """
-    n = 1 << v
-    blind_ok = True       # irreflexive, k = 0: realizes (s, {}) for every s
-    irr_bound = n + 1     # irreflexive with c >= 1 is ok iff c < irr_bound
-    refl_bound = n + 1    # reflexive is ok iff c < refl_bound
-    missing = ((1 << (n << n)) - 1) & ~bits
-    while missing:
-        low = missing & -missing
-        s, e = divmod(low.bit_length() - 1, 1 << n)
-        size = e.bit_count()
-        if e == 0:
-            blind_ok = False
-        else:
-            irr_bound = min(irr_bound, size)
-        if (e >> s) & 1:
-            # min(k + 1, n) >= size  iff  min(k, n) >= size - 1, as size <= n
-            refl_bound = min(refl_bound, size - 1)
-        missing ^= low
-    return ((blind_ok,) + tuple(c < irr_bound for c in range(1, n + 1)),
-            tuple(c < refl_bound for c in range(n + 1)))
+    n = m.ctx.n
+    kept = complete_orbits(m)
+    odd = int("10" * n, 2)          # orbits 1, 3, ..., 2n - 1
+
+    def spans(orbits: int) -> bool:
+        return kept & orbits == orbits
+
+    return ((spans(1),) + tuple(spans((1 << min(2 * c + 1, 2 * n)) - 2)
+                                for c in range(1, n + 1)),
+            tuple(spans(odd & ((1 << 2 * min(c + 1, n)) - 1))
+                  for c in range(n + 1)))
 
 
 def _valid_by_types(fr: Frame, table, n: int) -> bool:
@@ -179,16 +175,23 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
     if method == "auto":
         method = "semantic" if fm.modal_degree(f) <= 1 else "direct"
     if method == "semantic":
-        table = type_table(normalize(f, context(v, 1)).bits, v)
-        return _valid_by_types(fr, table, n)
+        return _valid_by_types(fr, type_table(normalize(f, context(v, 1))), n)
     if method == "direct":
-        for assignment in product(range(n), repeat=fr.size):
-            model = Model(fr, v, assignment)
-            for w in range(fr.size):
-                if not eval_model(model, w, f):
-                    return False
-        return True
+        return _falsify(fr, f, v) is None
     raise ValueError(f"unknown method {method!r}")
+
+
+def _falsify(fr: Frame, f: fm.Formula, v: int):
+    """(model, world) of the first valuation of ``fr`` falsifying ``f``, or None.
+
+    Valuations come in lexicographic order and worlds in index order.
+    """
+    for assignment in product(range(1 << v), repeat=fr.size):
+        model = Model(fr, v, assignment)
+        for w in range(fr.size):
+            if not eval_model(model, w, f):
+                return model, w
+    return None
 
 
 class FrameCondition(Record):
@@ -253,8 +256,7 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     sample per size when ``sample`` is given): the coordinate's axiom is
     valid on the frame iff the star-mapped condition holds at all worlds.
     """
-    from .axiom import alpha_for
-    table = type_table(normalize(alpha_for(coord, v), context(v, 1)).bits, v)
+    table = type_table(cmm_from_coords(coord, v).matrix)
     star = map_to_star(coord, v)
     cond = FrameCondition(star.plane, star.x, star.y)
     n = 1 << v
@@ -294,17 +296,14 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     table = None
     if fm.modal_degree(f) <= 1:
         try:
-            table = type_table(normalize(f, context(v, 1)).bits, v)
+            table = type_table(normalize(f, context(v, 1)))
         except CapExceededError:
             pass            # K[v,1] too large: evaluate every valuation
     for size in range(1, max_worlds + 1):
-        for rel in range(1 << (size * size)):
-            fr = Frame.from_relation(size, rel)
+        for fr in iter_frames(size):
             if table is not None and _valid_by_types(fr, table, n):
                 continue
-            for assignment in product(range(n), repeat=size):
-                model = Model(fr, v, assignment)
-                for w in range(size):
-                    if not eval_model(model, w, f):
-                        return fr, model, w
+            hit = _falsify(fr, f, v)
+            if hit is not None:
+                return (fr,) + hit
     return None

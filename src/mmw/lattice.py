@@ -17,9 +17,10 @@ from itertools import combinations
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import label_order, orbit_labels, orbit_masks
-from .substitution import (Substitution, apply_minmatrix, critical_substitution,
-                           orbit_images)
+from .orbit import (complete_orbits, label_order, orbit_labels, orbit_masks,
+                    orbit_union)
+from .substitution import (Substitution, apply_minmatrix, coverage_key,
+                           critical_substitution, orbit_images)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
@@ -105,23 +106,7 @@ def _collapse_default(m: Minmatrix) -> Minmatrix:
     if ctx.d == 0:
         # One orbit: anything short of [1] collapses to [0].
         return m if m.is_theorem_K() else Minmatrix.empty(ctx)
-    masks = orbit_masks(ctx)
-    missing, keep = ctx.full ^ m.bits, 0
-    for bit, mask in zip(_ORBIT_BITS, masks):
-        if not missing & mask:
-            keep |= bit
-    keep = _kept_fixpoint(keep, _cover_patterns(ctx.v))
-    bits = 0
-    while keep:
-        low = keep & -keep
-        bits |= masks[low.bit_length() - 1]
-        keep ^= low
-    return Minmatrix(ctx, bits)
-
-
-# bit k stands for the prime orbit at position k of ``label_order``; K[4,1]
-# has 32 orbits, and K[5,1]'s 64 would take 2**37 minterms
-_ORBIT_BITS = tuple(1 << k for k in range(64))
+    return orbit_union(ctx, _kept_fixpoint(complete_orbits(m), _cover_patterns(ctx.v)))
 
 
 def _covered(keep: int, patterns: tuple[int, int, int, int]) -> int:
@@ -203,8 +188,10 @@ def coord_of(m: Minmatrix) -> SystemCoord | None:
     whose labels pass DR1-DR3; it counts the Dc and Dw orbits of ``m``.
     """
     ctx = m.ctx
+    if orbit_union(ctx, complete_orbits(m)) != m:
+        return None
     labels = frozenset(orbit_labels(m))
-    if _orbit_union(ctx, labels) != m or not dependency_rules_hold(labels, ctx.n):
+    if not dependency_rules_hold(labels, ctx.n):
         return None
     x = sum(lbl.startswith("Dc") for lbl in labels)
     y = sum(lbl.startswith("Dw") for lbl in labels) if "Dd0" in labels else -1
@@ -212,11 +199,8 @@ def coord_of(m: Minmatrix) -> SystemCoord | None:
 
 
 def _orbit_union(ctx: Context, labels) -> Minmatrix:
-    bits = 0
-    for lbl, mask in zip(label_order(ctx.n), orbit_masks(ctx)):
-        if lbl in labels:
-            bits |= mask
-    return Minmatrix(ctx, bits)
+    order = label_order(ctx.n)
+    return orbit_union(ctx, sum(1 << order.index(lbl) for lbl in labels))
 
 
 def enumerate_cmms(v: int) -> list[CMM]:
@@ -232,13 +216,12 @@ def enumerate_cmms(v: int) -> list[CMM]:
 
 def coverage(ctx: Context, label_i: str, label_j: str, s: Substitution) -> str:
     """Orbit coverage under s: 'none', 'partial' or 'full'."""
-    pos = {lbl: k for k, lbl in enumerate(label_order(ctx.n))}
-    image = orbit_images(ctx, s)[pos[label_i]]
-    target = orbit_masks(ctx)[pos[label_j]]
-    inter = image & target
-    if not inter:
-        return "none"
-    return "full" if inter == target else "partial"
+    if ctx != context(s.v, 1):
+        raise ValueError(f"coverage under a substitution on {s.v} variables "
+                         f"is read in K[{s.v},1]")
+    order = label_order(ctx.n)
+    return ("none", "partial", "full")[
+        coverage_key(s)[order.index(label_i)][order.index(label_j)]]
 
 
 def dependency_rules_hold(labels: frozenset[str] | set[str], n: int) -> bool:

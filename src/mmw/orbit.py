@@ -8,9 +8,11 @@ n-cycle, acting on the section and the modal factors alike (orbits are
 the connected components of that action), while ``orbit_closed_form``
 builds the same orbits straight from the signatures, one minterm at a
 time; the two must agree.  The masks every other module reads
-(``orbit_masks``, ``orbit_map``, ``orbit_labels``) are built from the
-signature by popcount class of the factor bits, and the two
-constructions above are their oracles.
+(``orbit_masks``, ``orbit_map``) are built from the signature by
+popcount class of the factor bits, and the two constructions above are
+their oracles.  A set of orbits is a 2n-bit int, bit k standing for
+position k of ``label_order``: ``complete_orbits`` reads it off a
+minmatrix and ``orbit_union`` turns it back into one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .minmatrix import Minmatrix
 __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
     "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
-    "orbit_position", "display_label",
+    "orbit_position", "display_label", "complete_orbits", "orbit_union",
 ]
 
 
@@ -173,11 +175,30 @@ def orbit_map(ctx: Context) -> dict[str, Minmatrix]:
     return {lbl: Minmatrix(ctx, bits) for lbl, bits in zip(labels, masks)}
 
 
+def complete_orbits(m: Minmatrix) -> int:
+    """The prime orbits wholly inside ``m``: bit k for position k of ``label_order``."""
+    missing, keep = m.ctx.full ^ m.bits, 0
+    for k, mask in enumerate(orbit_masks(m.ctx)):
+        if not missing & mask:
+            keep |= 1 << k
+    return keep
+
+
+def orbit_union(ctx: Context, keep: int) -> Minmatrix:
+    """The union of the prime orbits in the set ``keep`` (``complete_orbits``)."""
+    masks = orbit_masks(ctx)
+    bits = 0
+    while keep:
+        low = keep & -keep
+        bits |= masks[low.bit_length() - 1]
+        keep ^= low
+    return Minmatrix(ctx, bits)
+
+
 def orbit_labels(m: Minmatrix) -> list[str]:
     """Labels of the prime orbits wholly inside ``m``, in label order."""
-    masks = orbit_masks(m.ctx)
-    labels = _orbit_table(m.ctx.v)[0]
-    return [lbl for lbl, mask in zip(labels, masks) if m.bits & mask == mask]
+    keep = complete_orbits(m)
+    return [lbl for k, lbl in enumerate(_orbit_table(m.ctx.v)[0]) if keep >> k & 1]
 
 
 def expected_size(label: str, n: int) -> int:

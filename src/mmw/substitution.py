@@ -88,10 +88,6 @@ class Substitution(Record):
         """sigma_k materialized as the DNF formula of its truth table."""
         return Minmatrix(context(self.v, 0), self.tables[k]).to_formula()
 
-    def describe(self) -> str:
-        parts = [fm.render(self.formula_for(k)) for k in range(self.v)]
-        return "(" + ", ".join(parts) + ")"
-
 
 def identity(v: int) -> Substitution:
     return Substitution.from_index_map(v, range(1 << v))
@@ -291,14 +287,6 @@ def coverage_key(s: Substitution) -> tuple:
             row.append(0 if inter == 0 else (2 if inter == mj else 1))
         key.append(tuple(row))
     return tuple(key)
-
-
-def _fiber_partition(s: Substitution) -> tuple[int, ...]:
-    g = s.index_map()
-    sizes = [0] * s.n
-    for j in g:
-        sizes[j] += 1
-    return tuple(sorted((c for c in sizes if c), reverse=True))
 
 
 def _partition_count(lam: tuple[int, ...], n: int) -> int:

@@ -10,11 +10,11 @@ from itertools import combinations
 
 from conftest import random_formula, random_minmatrix, random_substitution
 
-from mmw.axiom import (AxiomVariant, alpha_K, alpha_prime_K, named_systems,
-                       variant_collapse)
+from mmw.axiom import (AxiomVariant, alpha_for, alpha_K, alpha_prime_K,
+                       named_systems, variant_collapse)
 from mmw.context import context
 from mmw.formula import Implies, parse
-from mmw.kripke import correspondence_check
+from mmw.kripke import correspondence_check, type_table
 from mmw.lattice import (SystemCoord, cmm_from_coords, collapse, coverage,
                          dependency_rules_hold, enumerate_cmms)
 from mmw.minmatrix import Minmatrix, normalize
@@ -149,6 +149,19 @@ def test_criterion_7_axiom_registry():
 
 
 def test_criterion_8_correspondence():
+    # correspondence_check reads the CMM's type table; alpha and alpha'
+    # are valid on the same frames as the CMM they collapse to
+    tables = 0
+    for v in (1, 2, 3):
+        ctx = context(v, 1)
+        for c in enumerate_cmms(v):
+            want = type_table(c.matrix)
+            axioms = [alpha_for(c.coord, v)]
+            if c.coord.plane == "K":
+                axioms.append(alpha_prime_K(c.coord.x, c.coord.y, v))
+            for a in axioms:
+                assert type_table(normalize(a, ctx)) == want, (str(c.coord), v)
+                tables += 1
     checked = 0
     for v in (1, 2):
         for c in enumerate_cmms(v):
@@ -156,7 +169,8 @@ def test_criterion_8_correspondence():
             assert rep.ok, (str(c.coord), rep.violations[:3])
             checked += rep.frames_checked
     print(f"ACCEPTANCE 8 PASS: axiom validity == frame condition on all "
-          f"{checked} (coordinate, frame) pairs with |W| <= 3, v in {{1,2}}")
+          f"{checked} (coordinate, frame) pairs with |W| <= 3, v in {{1,2}}; "
+          f"{tables} alpha/alpha' type tables equal their CMM's for v <= 3")
 
 
 def test_criterion_9_property_suites():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -11,7 +12,8 @@ from mmw.kripke import (Frame, FrameCondition, Model, correspondence_check,
                         eval_model, find_countermodel, frame_condition_holds,
                         iter_frames, type_table, valid_on_frame)
 from mmw.lattice import STAR, SystemCoord, enumerate_cmms, map_to_star
-from mmw.minmatrix import normalize
+from mmw.minmatrix import Minmatrix, normalize
+from mmw.orbit import orbit_union
 
 REFL = Frame((1,))            # single reflexive world
 BLIND = Frame((0,))           # single blind world
@@ -52,6 +54,57 @@ def test_valid_on_frame_methods_agree(rng):
                 valid_on_frame(fr, f, 2, method="direct")
 
 
+def _type_table_by_minterms(bits, v):
+    """Per-minterm oracle for ``type_table``: one bound per missing minterm.
+
+    An irreflexive world with c >= 1 others realizes every (s, e) with
+    1 <= |e| <= c (a blind one only e = {}), a reflexive one every (s, e)
+    with s in e and |e| <= min(c + 1, n); both rows are downward closed.
+    """
+    n = 1 << v
+    blind_ok = True
+    irr_bound = n + 1     # irreflexive with c >= 1 is ok iff c < irr_bound
+    refl_bound = n + 1    # reflexive is ok iff c < refl_bound
+    missing = ((1 << (n << n)) - 1) & ~bits
+    while missing:
+        low = missing & -missing
+        s, e = divmod(low.bit_length() - 1, 1 << n)
+        size = e.bit_count()
+        if e == 0:
+            blind_ok = False
+        else:
+            irr_bound = min(irr_bound, size)
+        if (e >> s) & 1:
+            # min(k + 1, n) >= size  iff  min(k, n) >= size - 1, as size <= n
+            refl_bound = min(refl_bound, size - 1)
+        missing ^= low
+    return ((blind_ok,) + tuple(c < irr_bound for c in range(1, n + 1)),
+            tuple(c < refl_bound for c in range(n + 1)))
+
+
+def test_type_table_matches_per_minterm_oracle():
+    # every orbit sum, and every orbit sum with one minterm added or
+    # removed, for v <= 2; seeded orbit sums +- one minterm and random
+    # bits at v = 3
+    for v in (0, 1, 2):
+        ctx = context(v, 1)
+        for keep in range(1 << (2 * ctx.n)):
+            base = orbit_union(ctx, keep).bits
+            for bits in [base] + [base ^ (1 << i) for i in range(ctx.universe_size)]:
+                assert type_table(Minmatrix(ctx, bits)) == \
+                    _type_table_by_minterms(bits, v), (v, bits)
+    rng = random.Random(3000)
+    ctx = context(3, 1)
+    for case in range(3000):
+        if case % 10 == 0:
+            bits = rng.getrandbits(ctx.universe_size)
+        else:
+            bits = orbit_union(ctx, rng.getrandbits(2 * ctx.n)).bits
+            if case % 10 > 3:
+                bits ^= 1 << rng.randrange(ctx.universe_size)
+        assert type_table(Minmatrix(ctx, bits)) == _type_table_by_minterms(bits, 3)
+
+
 def test_type_table_matches_frame_condition():
     # validity is a conjunction over worlds, so agreement on every world
     # type proves correspondence on frames of any size; k = n + 1 shows
@@ -59,7 +112,7 @@ def test_type_table_matches_frame_condition():
     for v in (1, 2):
         n = 1 << v
         for c in enumerate_cmms(v):
-            ok = type_table(normalize(alpha_for(c.coord, v), context(v, 1)).bits, v)
+            ok = type_table(c.matrix)
             star = map_to_star(c.coord, v)
             cond = FrameCondition(star.plane, star.x, star.y)
             for loop in (0, 1):
@@ -137,6 +190,13 @@ def test_correspondence_all_coords_v1():
 def test_correspondence_sampled_v2():
     for c in enumerate_cmms(2)[::5]:
         assert correspondence_check(2, c.coord, max_worlds=3).ok, str(c.coord)
+
+
+def test_correspondence_all_coords_v4():
+    cmms = enumerate_cmms(4)
+    assert len(cmms) == 304
+    for c in cmms:
+        assert correspondence_check(4, c.coord, 3).ok, str(c.coord)
 
 
 def test_correspondence_sampling_is_deterministic():

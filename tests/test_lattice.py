@@ -369,6 +369,9 @@ def test_coverage_identity_and_critical():
             for j in labels:
                 assert coverage(ctx, i, j, identity(v)) == \
                     ("full" if i == j else "none")
+    for ctx in (context(2, 1), context(1, 0)):
+        with pytest.raises(ValueError):
+            coverage(ctx, "Dd0", "Dd0", critical_substitution(1))
 
 
 def test_map_to_star():
