@@ -3,55 +3,60 @@
 Exit codes: 0 success, 1 domain error (syntax, caps, bad coordinates,
 formulas nested too deeply), 2 internal consistency failure.  The
 environment variable MMW_UNIVERSE_CAP overrides the default context cap.
+
+Each command imports what it calls when it runs, so a fresh interpreter
+compiles only the mmw modules (and ``json``) that the command uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-from . import formula as fm
-from .context import CapExceededError, DegreeError, context
-from .kripke import correspondence_check, find_countermodel
-from .lattice import (STAR, InternalConsistencyError, SystemCoord, cmm_from_coords,
-                      collapse, coord_of, enumerate_cmms, map_to_star)
-from .minmatrix import ContextMismatchError, Minmatrix, normalize
-from .orbit import display_label, orbit_labels, orbit_map
-from .substitution import all_substitutions, classify
 
 __all__ = ["main"]
 
 
 def _coord_value(text: str) -> int | str:
+    from .lattice import STAR
     if text == STAR:
         return STAR
     return int(text)
 
 
-def _print_minmatrix(m: Minmatrix, fmt: str) -> None:
+def _print_minmatrix(m, fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps(m.to_json(include_hex=True)))
     else:
         print(m.render_matrix())
 
 
 def cmd_normalize(args) -> int:
+    from .context import context
+    from .formula import parse
+    from .minmatrix import normalize
     ctx = context(args.v, args.d)
-    m = normalize(fm.parse(args.formula), ctx)
+    m = normalize(parse(args.formula), ctx)
     _print_minmatrix(m, args.format)
     return 0
 
 
 def cmd_collapse(args) -> int:
+    from .context import context
+    from .formula import parse
+    from .lattice import collapse, coord_of
+    from .minmatrix import normalize
+    from .orbit import display_label, orbit_labels
+    from .substitution import all_substitutions
     ctx = context(args.v, 1)
-    m = normalize(fm.parse(args.formula), ctx)
+    m = normalize(parse(args.formula), ctx)
     subs = all_substitutions(args.v) if args.exhaustive else None
     result = collapse(m, subs)
     coord = coord_of(result)
     labels = orbit_labels(result)
     if args.format == "json":
+        import json
         doc = result.to_json()
         doc["orbits"] = labels
         doc["coord"] = str(coord) if coord else None
@@ -66,9 +71,12 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from .context import context
+    from .orbit import display_label, orbit_map
     ctx = context(args.v, 1)
     orbits = orbit_map(ctx)
     if args.format == "json":
+        import json
         print(json.dumps({lbl: list(orb.members()) for lbl, orb in orbits.items()}))
     else:
         for lbl, orb in orbits.items():
@@ -80,7 +88,7 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def _registry_name(coord: SystemCoord) -> str | None:
+def _registry_name(coord) -> str | None:
     from .axiom import registry_lookup
     entry = registry_lookup(coord)
     return entry.name if entry else None
@@ -92,8 +100,11 @@ def _label_key(label: str) -> tuple[str, int]:
 
 
 def cmd_lattice(args) -> int:
+    from .lattice import enumerate_cmms, map_to_star
+    from .orbit import display_label
     cmms = enumerate_cmms(args.v)
     if args.format == "json":
+        import json
         out = []
         for c in cmms:
             star = map_to_star(c.coord, args.v)
@@ -118,7 +129,8 @@ def cmd_lattice(args) -> int:
 
 
 def _lattice_dot(v: int, cmms) -> str:
-    from .lattice import build_hasse
+    from .lattice import build_hasse, map_to_star
+    from .orbit import display_label
     hasse = build_hasse(v)
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for plane in ("K", "D"):
@@ -139,18 +151,24 @@ def _lattice_dot(v: int, cmms) -> str:
 
 
 def cmd_axiom(args) -> int:
-    coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
     from .axiom import alpha_for
+    from .context import context
+    from .formula import render
+    from .lattice import SystemCoord, collapse
+    from .minmatrix import normalize
+    from .orbit import display_label, orbit_labels
+    coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
     axiom = alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
     cmm = collapse(normalize(axiom, ctx))
     labels = orbit_labels(cmm)
     if args.format == "json":
-        doc = {"coord": str(coord), "axiom": fm.render(axiom),
+        import json
+        doc = {"coord": str(coord), "axiom": render(axiom),
                "cmm": cmm.to_json(), "orbits": labels}
         print(json.dumps(doc))
     else:
-        print(fm.render(axiom))
+        print(render(axiom))
         names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
         print(f"CMM orbits: [{names}]")
     return 0
@@ -158,10 +176,14 @@ def cmd_axiom(args) -> int:
 
 def cmd_system_of(args) -> int:
     from .axiom import system_of
-    coord, origin = system_of(fm.parse(args.formula))
+    from .formula import parse
+    from .lattice import cmm_from_coords
+    from .orbit import display_label, orbit_labels
+    coord, origin = system_of(parse(args.formula))
     labels = orbit_labels(cmm_from_coords(coord, origin).matrix)
     name = _registry_name(coord)
     if args.format == "json":
+        import json
         print(json.dumps({"coord": str(coord), "origin_v": origin,
                           "orbits": labels, "name": name}))
     else:
@@ -175,6 +197,8 @@ def cmd_system_of(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    import json
+    from .substitution import classify
     mode = args.mode
     if mode is None:
         mode = "exhaustive" if args.v <= 2 else "reduced"
@@ -192,6 +216,8 @@ def cmd_frames(args) -> int:
     if not args.correspondence:
         print("nothing to do: pass --correspondence", file=sys.stderr)
         return 1
+    from .kripke import correspondence_check
+    from .lattice import SystemCoord, enumerate_cmms
     if args.all_coords:
         coords = [c.coord for c in enumerate_cmms(args.v)]
     else:
@@ -208,6 +234,7 @@ def cmd_frames(args) -> int:
               for r in reports]
     bad = sum(len(r["violations"]) for r in report)
     if args.format == "json":
+        import json
         print(json.dumps(report))
     else:
         for r in report:
@@ -220,7 +247,10 @@ def cmd_frames(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    f = fm.parse(args.formula)
+    from .context import context
+    from .formula import parse, render
+    from .kripke import find_countermodel
+    f = parse(args.formula)
     hit = find_countermodel(f, args.max_worlds)
     if hit is None:
         print(f"no countermodel with up to {args.max_worlds} worlds")
@@ -229,13 +259,14 @@ def cmd_countermodel(args) -> int:
     doc = {"worlds": frame.size, "relation_rows": list(frame.rows),
            "valuation_minterms": list(model.assignment), "world": w}
     if args.format == "json":
+        import json
         print(json.dumps(doc))
     else:
         print(f"falsified at world {w} of {frame.size}")
         for u in range(frame.size):
             seen = [t for t in range(frame.size) if frame.sees(u, t)]
             val = context(model.v, 0).minterm_formula(model.assignment[u])
-            print(f"  w{u}: sees {seen}, valuation {fm.render(val)}")
+            print(f"  w{u}: sees {seen}, valuation {render(val)}")
     return 0
 
 
@@ -306,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from . import lattice     # lazy: its code runs only if an error reaches the last clause
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
@@ -318,15 +350,16 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (fm.FormulaSyntaxError, CapExceededError, DegreeError,
-            ContextMismatchError, ValueError) as exc:
+    except ValueError as exc:
+        # FormulaSyntaxError, CapExceededError, DegreeError and
+        # ContextMismatchError are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
         # parse, render, modal_degree and variables recurse on the formula
         print("error: formula nested too deeply", file=sys.stderr)
         return 1
-    except InternalConsistencyError as exc:
+    except lattice.InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
 

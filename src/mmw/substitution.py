@@ -21,9 +21,11 @@ image of a minterm is its fibre under ``phi_s``, images of distinct
 minterms are disjoint, and the image of a minmatrix ``m`` is
 ``phi_s^{-1}(m)``; at level 0, ``phi_s = g``.  ``phi_s`` depends on ``e``
 only through a table of ``2**n`` entries, so one pass over the universe
-gives the image of a minmatrix (``apply_minmatrix``) or, binning each
-minterm by the prime orbit of its source, the images of all ``2n``
-orbits at once (``orbit_images``).  Nothing is cached per substitution.
+gives the image of a minmatrix (``apply_minmatrix``).  The prime orbit
+of a source depends only on how many fibres of ``g`` the factor states
+``e`` meet and whether they meet the section's own, so the images of all
+``2n`` orbits (``orbit_images``) are built from those classes of
+e-values.  Nothing is cached per substitution.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import formula as fm
 from ._record import Record
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
-from .orbit import orbit_masks, orbit_position
+from .orbit import orbit_masks
 
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
@@ -127,6 +129,12 @@ def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
     return go(f)
 
 
+def _index_map(ctx: Context, s: Substitution) -> tuple[int, ...]:
+    if s.v != ctx.v:
+        raise ValueError("substitution arity does not match the context")
+    return s.index_map()
+
+
 def _source_map(ctx: Context,
                 s: Substitution) -> tuple[tuple[int, ...], list[int] | None]:
     """(g, img): phi_s sends a level-1 minterm (j, e) to (g[j], img[e]).
@@ -134,11 +142,9 @@ def _source_map(ctx: Context,
     ``img[e]`` sets bit ``g(i)`` for every factor ``i`` positive in ``e``;
     at level 0 there are no factors and ``img`` is None.
     """
-    if s.v != ctx.v:
-        raise ValueError("substitution arity does not match the context")
+    g = _index_map(ctx, s)
     if ctx.d > 1:
         raise DegreeError("substitution application supports d <= 1")
-    g = s.index_map()
     if ctx.d == 0:
         return g, None
     img = [0]
@@ -177,23 +183,36 @@ def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
 def orbit_images(ctx: Context, s: Substitution) -> list[int]:
     """Masks of the images under ``s`` of the 2n prime orbits, in label order.
 
-    A minterm lies in the image of the orbit that holds its source, so
-    one pass over the sections bins each e-bits value by the orbit of
-    (g[j], img[e]).
+    A minterm (j, e) lies in the image of the orbit of its source
+    (g[j], img[e]) (``_source_map``): orbit ``2c - 1`` if ``e`` meets
+    ``c`` of the fibres g^-1(t), one of them g^-1(g[j]), and orbit ``2c``
+    if it meets ``c`` fibres but not that one (``orbit_position``).  So
+    each section's slice of an image is one "meets c fibres" class of
+    e-values, split as ``_orbit_table`` splits popcount classes: O(n**2)
+    big-int operations in place of a loop over the 2**n e-values.
     """
     if ctx.d != 1:
         raise DegreeError("prime orbits are computed for d = 1 contexts")
-    g, img = _source_map(ctx, s)
+    g = _index_map(ctx, s)
     n = ctx.n
+    block = (1 << (1 << n)) - 1
+    # hit[t]: the e-values with some factor of the fibre g^-1(t) positive
+    hit = [0] * n
+    for i, t in enumerate(g):
+        hit[t] |= ctx.factor_mask(i) & block
+    # classes[c]: the e-values meeting exactly c fibres, built one fibre
+    # at a time (an e-value missing it, or meeting it)
+    classes = [block]
+    for h in hit:
+        classes = [lo & ~h | hi & h for lo, hi in zip(classes + [0], [0] + classes)]
     images = [0] * (2 * n)
-    rows: dict[int, list[int]] = {}   # section i -> the e by orbit of (i, img[e])
-    for j, i in enumerate(g):
-        if i not in rows:
-            rows[i] = [0] * (2 * n)
-            for e, x in enumerate(img):
-                rows[i][orbit_position(i, x)] |= 1 << e
-        for k, mask in enumerate(rows[i]):
-            images[k] |= mask << (j << n)
+    for j, t in enumerate(g):
+        h, shift = hit[t], j << n
+        for c, cls in enumerate(classes):
+            if c:
+                images[2 * c - 1] |= (cls & h) << shift
+            if c < n:
+                images[2 * c] |= (cls & ~h) << shift
     return images
 
 
@@ -335,8 +354,6 @@ def classify(v: int, mode: str = "exhaustive") -> list[DependencyClass]:
         classes = [DependencyClass(key, len(subs), subs[0])
                    for key, subs in groups.items()]
     elif mode == "reduced":
-        if v > 3:
-            raise ValueError("classification supports v <= 3")
         classes = []
         seen: dict[tuple, tuple[int, ...]] = {}
         for lam in _partitions(n):

@@ -219,6 +219,78 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0 and proc.stdout == "False False []\n"
 
 
+def fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the last line it printed."""
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# The mmw modules whose code has run; a lazy module not yet run is an
+# instance of the loader's module subclass.
+EXECUTED = ("import sys, types; print(sorted(name for name, m in sys.modules.items() "
+            "if name.partition('.')[0] == 'mmw' and type(m) is types.ModuleType))")
+LAZY = ["mmw.axiom", "mmw.kripke", "mmw.lattice", "mmw.minmatrix", "mmw.orbit",
+        "mmw.substitution"]
+
+
+def test_import_runs_only_context_modules():
+    assert fresh("import mmw; " + EXECUTED) == \
+        str(["mmw", "mmw._record", "mmw.context", "mmw.formula"])
+    assert fresh(f"import sys, mmw; print(all(n in sys.modules for n in {LAZY!r}))") == "True"
+
+
+def test_normalize_command_leaves_lattice_kripke_axiom_unrun():
+    executed = fresh("from mmw.cli import main; "
+                     "main(['normalize', '--v', '1', '[]p->p']); " + EXECUTED)
+    assert "mmw.minmatrix" in executed
+    for name in ("mmw.lattice", "mmw.kripke", "mmw.axiom"):
+        assert repr(name) not in executed
+
+
+def test_cli_import_registers_traced_modules():
+    # a benchmark tracer reads sys.modules[...] for each of these right
+    # after importing mmw.cli, before any command runs
+    traced = ["mmw.formula", "mmw.minmatrix", "mmw.substitution", "mmw.orbit",
+              "mmw.lattice", "mmw.axiom", "mmw.kripke"]
+    assert fresh(f"import sys, mmw.cli; print(all(n in sys.modules for n in {traced!r}))") \
+        == "True"
+
+
+def test_context_function_shadows_its_module():
+    assert fresh("import mmw; print(isinstance(mmw.context(2, 1), mmw.Context))") == "True"
+
+
+# Every name ``mmw`` exported when it imported its submodules eagerly.
+EXPORTS = {
+    "context": ["CapExceededError", "Context", "DegreeError", "context", "enumerate_E"],
+    "formula": ["Formula", "FormulaSyntaxError", "modal_degree", "parse", "render",
+                "variables"],
+    "kripke": ["Frame", "FrameCondition", "Model", "correspondence_check", "eval_model",
+               "find_countermodel", "valid_on_frame"],
+    "lattice": ["CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
+                "coverage", "enumerate_cmms", "map_to_star"],
+    "minmatrix": ["ContextMismatchError", "Minmatrix", "is_theorem_K", "normalize"],
+    "orbit": ["PrimeOrbit", "compute_orbits", "orbit_closed_form", "orbit_of"],
+    "substitution": ["Substitution", "apply_formula", "apply_minmatrix", "apply_minterm",
+                     "classify", "compose", "critical_substitution", "enumerate_primes",
+                     "identity", "is_prime"],
+    "axiom": ["alpha_D", "alpha_K", "alpha_prime_K", "named_systems", "system_of"],
+}
+
+
+def test_every_exported_name_resolves():
+    # each name is the defining module's object, and the submodules other
+    # than context stay attributes of the package; prints what does not
+    assert fresh(
+        "import importlib, mmw; exports = " + repr(EXPORTS) + "\n"
+        "print([name for mod, names in exports.items() for name in names"
+        " if getattr(mmw, name, None) is not getattr(importlib.import_module('mmw.' + mod), name)]"
+        " + [mod for mod in exports if mod != 'context'"
+        " and getattr(mmw, mod, None) is not importlib.import_module('mmw.' + mod)])") == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ("normalize", "--v", "1", "--d", "1", "!" * 3000 + "p"),
     ("system-of", "p" * 3000),

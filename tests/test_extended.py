@@ -1,12 +1,15 @@
 """Long-running checks, outside the default run: ``pytest -m extended``."""
 
+import random
 from itertools import product
 
 import pytest
 
+from conftest import random_substitution
+
 from mmw.kripke import correspondence_check
 from mmw.lattice import enumerate_cmms
-from mmw.substitution import classify
+from mmw.substitution import classify, coverage_key
 
 pytestmark = pytest.mark.extended
 
@@ -47,6 +50,25 @@ def test_v3_substitution_census_by_direct_enumeration():
         705600, 94080, 470400, 1411200, 176400, 470400, 3763200, 2822400,
         1128960, 4233600, 1128960])
     assert sorted(census.values()) == published
+
+
+def _fiber_partition(s) -> tuple[int, ...]:
+    g = s.index_map()
+    return tuple(sorted((g.count(t) for t in set(g)), reverse=True))
+
+
+def test_k41_dependency_classes():
+    # the 231 partitions of 16 give 231 distinct coverage keys whose class
+    # sizes count all 16**16 substitutions; no exhaustive check reaches
+    # K[4,1], so seeded random maps must get their partition's key
+    classes = classify(4, "reduced")
+    assert len(classes) == len({c.key for c in classes}) == 231
+    assert sum(c.size for c in classes) == 16 ** 16
+    key_of = {_fiber_partition(c.representative): c.key for c in classes}
+    rng = random.Random(41)
+    for _ in range(20):
+        s = random_substitution(rng, 4)
+        assert coverage_key(s) == key_of[_fiber_partition(s)]
 
 
 def test_correspondence_sampled_four_worlds():

@@ -403,3 +403,24 @@ def test_hasse_edges_are_single_orbit_steps():
         for a, b, orb in hasse.edges:
             assert byc[b].orbits - byc[a].orbits == {orb}
             assert byc[a].orbits < byc[b].orbits
+
+
+def test_hasse_edges_k41():
+    # the K[4,1] edges are exactly the coordinate-grid steps: D -> K
+    # (adds Vv0), x -> x+1 (adds Dc_{x+1}) and y -> y+1 (adds Dd0 from
+    # y = -1, else Dw_{y+1}); 152 + 2 * (135 + 136) = 694
+    coords = {c.coord for c in enumerate_cmms(4)}
+    expected = set()
+    for c in coords:
+        steps = [(SystemCoord("K", c.x, c.y), "Vv0")] if c.plane == "D" else []
+        steps.append((SystemCoord(c.plane, c.x + 1, c.y), f"Dc{c.x + 1}"))
+        steps.append((SystemCoord(c.plane, c.x, c.y + 1),
+                      "Dd0" if c.y == -1 else f"Dw{c.y + 1}"))
+        expected.update((c, b, orb) for b, orb in steps if b in coords)
+    edges = build_hasse(4).edges
+    assert len(edges) == len(set(edges)) == len(expected) == 694
+    assert set(edges) == expected
+    assert sum(a.plane != b.plane for a, b, _ in edges) == 152
+    for plane in ("K", "D"):
+        assert sum(a.plane == b.plane == plane and a.x != b.x for a, b, _ in edges) == 135
+        assert sum(a.plane == b.plane == plane and a.y != b.y for a, b, _ in edges) == 136

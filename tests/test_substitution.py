@@ -9,12 +9,13 @@ from conftest import random_formula, random_minmatrix, random_substitution
 from mmw.context import DegreeError, context
 from mmw.formula import Diamond, Const0, parse
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import orbit_masks
+from mmw.orbit import orbit_masks, orbit_position
 from mmw.substitution import (Substitution, all_substitutions,
                               apply_formula, apply_minmatrix, apply_minterm,
                               classify, compose, coverage_key,
                               critical_substitution, enumerate_primes, identity,
-                              is_prime, orbit_images, prime_permutations)
+                              _source_map, is_prime, orbit_images,
+                              prime_permutations)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -166,11 +167,37 @@ def test_apply_minmatrix_matches_mask_walk(rng):
                 reference_apply(bits, images)
 
 
+def reference_orbit_images(ctx, s):
+    """The orbit images by a loop over the 2**n e-values of each section.
+
+    Each e-value of section j is binned by the orbit of its source
+    (g[j], img[e]); a second test oracle, fast enough for K[4,1].
+    """
+    g, img = _source_map(ctx, s)
+    n = ctx.n
+    images = [0] * (2 * n)
+    rows = {}       # section i -> the e by orbit of (i, img[e])
+    for j, i in enumerate(g):
+        if i not in rows:
+            rows[i] = [0] * (2 * n)
+            for e, x in enumerate(img):
+                rows[i][orbit_position(i, x)] |= 1 << e
+        for k, mask in enumerate(rows[i]):
+            images[k] |= mask << (j << n)
+    return images
+
+
 def test_orbit_images_match_mask_walk(rng):
     for ctx, s, images in engine_cases(rng):
         if ctx.d == 1:
-            assert orbit_images(ctx, s) == \
-                [reference_apply(mask, images) for mask in orbit_masks(ctx)]
+            expected = [reference_apply(mask, images) for mask in orbit_masks(ctx)]
+            assert orbit_images(ctx, s) == expected
+            assert reference_orbit_images(ctx, s) == expected
+    # K[4,1] is out of the mask walk's reach: the critical substitution
+    # and three seeded maps against the e-value loop
+    ctx = context(4, 1)
+    for s in [critical_substitution(4)] + [random_substitution(rng, 4) for _ in range(3)]:
+        assert orbit_images(ctx, s) == reference_orbit_images(ctx, s)
 
 
 def test_apply_minterm_degree_guard():
