@@ -122,9 +122,9 @@ def expand_cyclic(text: str) -> str:
         pos = text.find("$")
         if pos < 0:
             return text
-        kind = text[pos + 1]
-        if kind not in "+*" or text[pos + 2] != "(":
+        if text[pos + 1:pos + 3] not in ("+(", "*("):
             raise ValueError(f"malformed cyclic macro at offset {pos}")
+        kind = text[pos + 1]
         depth, end = 0, pos + 2
         for end in range(pos + 2, len(text)):
             if text[end] == "(":

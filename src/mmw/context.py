@@ -22,7 +22,7 @@ from .formula import And, Diamond, Formula, Not, Var, render, var_name
 
 __all__ = [
     "Context", "context", "CapExceededError", "DegreeError",
-    "enumerate_E", "DEFAULT_CAP",
+    "enumerate_E", "index_bit_mask", "DEFAULT_CAP",
 ]
 
 DEFAULT_CAP = 1 << 21
@@ -48,6 +48,9 @@ class Context:
         if v < 0 or d < 0:
             raise ValueError("v and d must be non-negative")
         cap = universe_cap() if cap is None else cap
+        if v >= cap.bit_length():
+            raise CapExceededError(
+                f"K[{v},{d}] needs at least 2^{v} minterms, over the cap {cap}")
         size = 1 << v
         for _ in range(d):
             exponent = v + size
@@ -84,29 +87,13 @@ class Context:
 
     # -- bit masks -------------------------------------------------------
 
-    def index_bit_mask(self, bit: int) -> int:
-        """Mask of all universe indices whose bit ``bit`` is set.
-
-        One period (``2**bit`` zeros, then as many ones) is repeated by
-        doubling, linear in the universe size; dividing by the period's
-        repunit is quadratic once the period is wide (K[4,1]'s prefix bits).
-        """
-        half = 1 << bit
-        if half >= self.universe_size:
-            return 0
-        mask, width = ((1 << half) - 1) << half, half << 1
-        while width < self.universe_size:
-            mask |= mask << width
-            width <<= 1
-        return mask
-
     def var_mask(self, k: int) -> int:
         """Mask of minterms in which variable p_k is positive."""
         if not 0 <= k < self.v:
             raise ValueError(f"variable index {k} out of range for v={self.v}")
         if self._var_masks is None:
             self._var_masks = [
-                self.index_bit_mask(self.e_bits + (self.v - 1 - j))
+                index_bit_mask(self.e_bits + (self.v - 1 - j), self.universe_size)
                 for j in range(self.v)
             ]
         return self._var_masks[k]
@@ -116,7 +103,8 @@ class Context:
         if self.d == 0:
             raise DegreeError("level 0 contexts have no modal factors")
         if self._factor_masks is None:
-            self._factor_masks = [self.index_bit_mask(j) for j in range(self.e_bits)]
+            self._factor_masks = [index_bit_mask(j, self.universe_size)
+                                  for j in range(self.e_bits)]
         return self._factor_masks[i]
 
     def section_mask(self, s: int) -> int:
@@ -192,6 +180,23 @@ class Context:
         states = [(s >> (self.v - 1 - k)) & 1 for k in range(self.v)]
         states.extend((e >> i) & 1 for i in reversed(range(self.e_bits)))
         return states
+
+
+def index_bit_mask(bit: int, size: int) -> int:
+    """Mask of the indices below ``size`` (a power of two) with bit ``bit`` set.
+
+    One period (``2**bit`` zeros, then as many ones) is repeated by
+    doubling, linear in ``size``; dividing by the period's repunit is
+    quadratic once the period is wide (K[4,1]'s prefix bits).
+    """
+    half = 1 << bit
+    if half >= size:
+        return 0
+    mask, width = ((1 << half) - 1) << half, half << 1
+    while width < size:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
 
 def level0_minterm(v: int, index: int) -> Formula:

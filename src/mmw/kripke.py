@@ -13,10 +13,11 @@ c = min(k, n), k being the number of other worlds it sees.
 * A reflexive world realizes every (s, e) with s in e and
   |e| <= min(k + 1, n).
 
-Those minterms form whole prime orbits, so ``type_table`` reads the set
-of orbits wholly inside a minmatrix (``orbit.complete_orbits``) into a
-table of 2(n+1) types, and a frame is valid iff every world's type is in
-it: O(|W|) per frame instead of n**|W| valuations.
+Those minterms form the orbit set of a lattice coordinate, so
+``type_table`` reads the set of orbits wholly inside a minmatrix
+(``orbit.complete_orbits``) into a table of 2(n+1) types, and a frame is
+valid iff every world's type is in it: O(|W|) per frame instead of
+n**|W| valuations.
 ``correspondence_check`` takes the table of the coordinate's CMM: frame
 validity is closed under substitution, so an axiom and its collapse are
 valid on the same frames.  ``valid_on_frame(method="direct")``
@@ -34,7 +35,7 @@ from ._record import Record
 from .context import CapExceededError, context
 from .lattice import STAR, SystemCoord, cmm_from_coords, map_to_star
 from .minmatrix import Minmatrix, normalize
-from .orbit import complete_orbits
+from .orbit import complete_orbits, coord_orbits
 
 __all__ = [
     "Frame", "Model", "FrameCondition", "eval_model", "valid_on_frame",
@@ -134,22 +135,21 @@ def type_table(m: Minmatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     A world has type (loop, c) when its self-loop bit is ``loop`` and it
     sees k other worlds with c = min(k, n); ``ok[loop][c]`` is true iff
     ``m`` holds at such a world under every valuation.  The minterms a
-    type realizes form whole prime orbits, so it is ok iff they are among
-    ``complete_orbits(m)``: a blind world realizes orbit 0, an irreflexive
-    one orbits 1..2c, and a reflexive one the odd orbits up to
-    2 min(c + 1, n) - 1 (its own factor positive).
+    type realizes are the orbit set of a coordinate (``coord_orbits``),
+    so it is ok iff they are among ``complete_orbits(m)``: a blind world
+    realizes S_K(0,-1), an irreflexive one S_D(min(c, n-1), c-1), and a
+    reflexive one S_D(0, min(c, n-1)).
     """
     n = m.ctx.n
     kept = complete_orbits(m)
-    odd = int("10" * n, 2)          # orbits 1, 3, ..., 2n - 1
 
-    def spans(orbits: int) -> bool:
+    def spans(plane: str, x: int, y: int) -> bool:
+        orbits = coord_orbits(plane, x, y)
         return kept & orbits == orbits
 
-    return ((spans(1),) + tuple(spans((1 << min(2 * c + 1, 2 * n)) - 2)
-                                for c in range(1, n + 1)),
-            tuple(spans(odd & ((1 << 2 * min(c + 1, n)) - 1))
-                  for c in range(n + 1)))
+    return ((spans("K", 0, -1),) + tuple(spans("D", min(c, n - 1), c - 1)
+                                         for c in range(1, n + 1)),
+            tuple(spans("D", 0, min(c, n - 1)) for c in range(n + 1)))
 
 
 def _valid_by_types(fr: Frame, table, n: int) -> bool:

@@ -17,7 +17,7 @@ from itertools import combinations
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import (complete_orbits, label_order, orbit_labels, orbit_masks,
+from .orbit import (complete_orbits, coord_orbits, label_order, orbit_masks,
                     orbit_union)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
                            critical_substitution, orbit_images)
@@ -170,37 +170,28 @@ def _cover_patterns(v: int) -> tuple[int, int, int, int]:
 def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
     """The CMM at a coordinate: Vv0 on the K plane, Dd0 plus the staircase."""
     ctx = context(v, 1)
-    x, y = coord.resolve(ctx.n)
-    labels: set[str] = set()
-    if coord.plane == "K":
-        labels.add("Vv0")
-    if y >= 0:
-        labels.add("Dd0")
-        labels.update(f"Dw{k}" for k in range(1, y + 1))
-    labels.update(f"Dc{k}" for k in range(1, x + 1))
-    return CMM(coord, frozenset(labels), _orbit_union(ctx, labels))
+    keep = coord_orbits(coord.plane, *coord.resolve(ctx.n))
+    labels = frozenset(lbl for k, lbl in enumerate(label_order(ctx.n)) if keep >> k & 1)
+    return CMM(coord, labels, orbit_union(ctx, keep))
 
 
 def coord_of(m: Minmatrix) -> SystemCoord | None:
     """The context coordinate whose CMM is ``m``, or None if there is none.
 
     There is one exactly when ``m`` is a union of complete prime orbits
-    whose labels pass DR1-DR3; it counts the Dc and Dw orbits of ``m``.
+    that pass DR1-DR3: x counts its Dc orbits, y its Dd0 and Dw orbits
+    less one, and ``coord_orbits`` must rebuild the same set.
     """
-    ctx = m.ctx
-    if orbit_union(ctx, complete_orbits(m)) != m:
+    ctx, n = m.ctx, m.ctx.n
+    keep = complete_orbits(m)
+    if orbit_union(ctx, keep) != m:
         return None
-    labels = frozenset(orbit_labels(m))
-    if not dependency_rules_hold(labels, ctx.n):
+    plane = "K" if keep & coord_orbits("K", 0, -1) else "D"
+    x = (keep & coord_orbits("D", n - 1, -1)).bit_count()
+    y = (keep & coord_orbits("D", 0, n - 1)).bit_count() - 1
+    if x > y + 1 or coord_orbits(plane, x, y) != keep:
         return None
-    x = sum(lbl.startswith("Dc") for lbl in labels)
-    y = sum(lbl.startswith("Dw") for lbl in labels) if "Dd0" in labels else -1
-    return SystemCoord("K" if "Vv0" in labels else "D", x, y)
-
-
-def _orbit_union(ctx: Context, labels) -> Minmatrix:
-    order = label_order(ctx.n)
-    return orbit_union(ctx, sum(1 << order.index(lbl) for lbl in labels))
+    return SystemCoord(plane, x, y)
 
 
 def enumerate_cmms(v: int) -> list[CMM]:
@@ -273,10 +264,10 @@ def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
         return _walk_survivors(labels, _cover_patterns(v))
     survivors = []
     for r in range(len(labels) + 1):
-        for combo in combinations(labels, r):
-            m = _orbit_union(ctx, combo)
+        for combo in combinations(range(len(labels)), r):
+            m = orbit_union(ctx, sum(1 << k for k in combo))
             if all(m & apply_minmatrix(m, s) == m for s in subs):
-                survivors.append(frozenset(combo))
+                survivors.append(frozenset(labels[k] for k in combo))
     return survivors
 
 

@@ -8,11 +8,12 @@ n-cycle, acting on the section and the modal factors alike (orbits are
 the connected components of that action), while ``orbit_closed_form``
 builds the same orbits straight from the signatures, one minterm at a
 time; the two must agree.  The masks every other module reads
-(``orbit_masks``, ``orbit_map``) are built from the signature by
-popcount class of the factor bits, and the two constructions above are
-their oracles.  A set of orbits is a 2n-bit int, bit k standing for
-position k of ``label_order``: ``complete_orbits`` reads it off a
-minmatrix and ``orbit_union`` turns it back into one.
+(``orbit_masks``, ``orbit_map``) are the orbits' images under the
+identity (``images_under``), and the two constructions above are their
+oracles.  A set of orbits is a 2n-bit int, bit k standing for position
+k of ``label_order``: ``complete_orbits`` reads it off a minmatrix,
+``orbit_union`` turns it back into one, and ``coord_orbits`` gives the
+set of a lattice coordinate; no other module knows the positions.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from functools import lru_cache
 from math import comb
 
 from ._record import Record
-from .context import Context, DegreeError
+from .context import Context, DegreeError, index_bit_mask
 from .minmatrix import Minmatrix
 
 __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
     "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
     "orbit_position", "display_label", "complete_orbits", "orbit_union",
+    "images_under", "coord_orbits",
 ]
 
 
@@ -132,47 +134,64 @@ def compute_orbits(ctx: Context) -> list[PrimeOrbit]:
     return orbits
 
 
-@lru_cache(maxsize=None)
-def _orbit_table(v: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Labels and masks of the 2n prime orbits of K[v,1], by popcount class.
+def images_under(ctx: Context, g) -> list[int]:
+    """Masks of the images of the 2n prime orbits under the level-0 map ``g``.
 
-    A minterm (s, e) lies in orbit ``2|e| - e_s`` (``orbit_position``), so
-    each section's slice of an orbit is one popcount class of e-values,
-    split by whether bit s is set: O(n**2) big-int operations in place of
-    a per-minterm loop.
+    ``g`` is the self-map of the level-0 minterms a substitution induces.
+    A minterm (j, e) lies in the image of the orbit of its source: orbit
+    ``2c - 1`` if ``e`` meets ``c`` of the fibres g^-1(t), one of them
+    g^-1(g[j]), and orbit ``2c`` if it meets ``c`` fibres but not that
+    one (``orbit_position``).  So each section's slice of an image is one
+    "meets c fibres" class of e-values, split by the section's own fibre:
+    O(n**2) big-int operations in place of a loop over the 2**n e-values.
+    Under the identity the classes count positive factors and the images
+    are the orbits themselves.
     """
-    n = 1 << v
-    # classes[c]: the 2**n-bit mask of the e-values with c bits set, built
-    # one factor at a time (an e-value without factor i, or with it)
-    classes = [1]
-    for i in range(n):
-        classes = [lo | (hi << (1 << i))
-                   for lo, hi in zip(classes + [0], [0] + classes)]
-    full = (1 << (1 << n)) - 1
-    masks = [0] * (2 * n)
-    for s in range(n):
-        # the e-values with bit s set: runs of 2**s ones after 2**s zeros
-        run = 1 << s
-        on = full // ((1 << (2 * run)) - 1) * (((1 << run) - 1) << run)
-        off = full ^ on
-        for c, cls in enumerate(classes):
-            if c:
-                masks[2 * c - 1] |= (cls & on) << (s << n)
-            if c < n:
-                masks[2 * c] |= (cls & off) << (s << n)
-    return tuple(label_order(n)), tuple(masks)
-
-
-def orbit_masks(ctx: Context) -> tuple[int, ...]:
-    """Bit masks of the 2n prime orbits, in canonical label order."""
     if ctx.d != 1:
         raise DegreeError("prime orbits are computed for d = 1 contexts")
-    return _orbit_table(ctx.v)[1]
+    n = ctx.n
+    block = (1 << (1 << n)) - 1
+    # hit[t]: the e-values with some factor of the fibre g^-1(t) positive
+    hit = [0] * n
+    for i, t in enumerate(g):
+        hit[t] |= index_bit_mask(i, 1 << n)
+    # classes[c]: the e-values meeting exactly c fibres, built one fibre
+    # at a time (an e-value missing it, or meeting it)
+    classes = [block]
+    for h in hit:
+        classes = [lo & ~h | hi & h for lo, hi in zip(classes + [0], [0] + classes)]
+    images = [0] * (2 * n)
+    for j, t in enumerate(g):
+        h, shift = hit[t], j << n
+        for c, cls in enumerate(classes):
+            if c:
+                images[2 * c - 1] |= (cls & h) << shift
+            if c < n:
+                images[2 * c] |= (cls & ~h) << shift
+    return images
+
+
+@lru_cache(maxsize=None)
+def orbit_masks(ctx: Context) -> tuple[int, ...]:
+    """Bit masks of the 2n prime orbits, in canonical label order."""
+    return tuple(images_under(ctx, range(ctx.n)))
 
 
 def orbit_map(ctx: Context) -> dict[str, Minmatrix]:
-    labels, masks = _orbit_table(ctx.v)
-    return {lbl: Minmatrix(ctx, bits) for lbl, bits in zip(labels, masks)}
+    return {lbl: Minmatrix(ctx, bits)
+            for lbl, bits in zip(label_order(ctx.n), orbit_masks(ctx))}
+
+
+def coord_orbits(plane: str, x: int, y: int) -> int:
+    """The orbit set of the coordinate S_plane(x, y), x and y resolved.
+
+    Vv0 on the K plane, Dd0 and Dw_1..Dw_y when y >= 0 (none at y = -1),
+    and Dc_1..Dc_x.  It does not check x <= y + 1.
+    """
+    # (4**k - 1) // 3 sets bits 0, 2, .., 2k - 2: every other orbit
+    dd_dw = ((1 << 2 * (y + 1)) - 1) // 3       # Dd0 at 1, Dw_k at 2k + 1
+    dc = ((1 << 2 * x) - 1) // 3                # Dc_k at 2k
+    return (plane == "K") | dd_dw << 1 | dc << 2
 
 
 def complete_orbits(m: Minmatrix) -> int:
@@ -198,7 +217,7 @@ def orbit_union(ctx: Context, keep: int) -> Minmatrix:
 def orbit_labels(m: Minmatrix) -> list[str]:
     """Labels of the prime orbits wholly inside ``m``, in label order."""
     keep = complete_orbits(m)
-    return [lbl for k, lbl in enumerate(_orbit_table(m.ctx.v)[0]) if keep >> k & 1]
+    return [lbl for k, lbl in enumerate(label_order(m.ctx.n)) if keep >> k & 1]
 
 
 def expected_size(label: str, n: int) -> int:

@@ -25,7 +25,7 @@ gives the image of a minmatrix (``apply_minmatrix``).  The prime orbit
 of a source depends only on how many fibres of ``g`` the factor states
 ``e`` meet and whether they meet the section's own, so the images of all
 ``2n`` orbits (``orbit_images``) are built from those classes of
-e-values.  Nothing is cached per substitution.
+e-values, in ``mmw.orbit``.  Nothing is cached per substitution.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import formula as fm
 from ._record import Record
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
-from .orbit import orbit_masks
+from .orbit import images_under, orbit_masks
 
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
@@ -183,37 +183,11 @@ def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
 def orbit_images(ctx: Context, s: Substitution) -> list[int]:
     """Masks of the images under ``s`` of the 2n prime orbits, in label order.
 
-    A minterm (j, e) lies in the image of the orbit of its source
-    (g[j], img[e]) (``_source_map``): orbit ``2c - 1`` if ``e`` meets
-    ``c`` of the fibres g^-1(t), one of them g^-1(g[j]), and orbit ``2c``
-    if it meets ``c`` fibres but not that one (``orbit_position``).  So
-    each section's slice of an image is one "meets c fibres" class of
-    e-values, split as ``_orbit_table`` splits popcount classes: O(n**2)
-    big-int operations in place of a loop over the 2**n e-values.
+    Read off the fibres of the level-0 map of ``s`` (``orbit.images_under``).
     """
     if ctx.d != 1:
         raise DegreeError("prime orbits are computed for d = 1 contexts")
-    g = _index_map(ctx, s)
-    n = ctx.n
-    block = (1 << (1 << n)) - 1
-    # hit[t]: the e-values with some factor of the fibre g^-1(t) positive
-    hit = [0] * n
-    for i, t in enumerate(g):
-        hit[t] |= ctx.factor_mask(i) & block
-    # classes[c]: the e-values meeting exactly c fibres, built one fibre
-    # at a time (an e-value missing it, or meeting it)
-    classes = [block]
-    for h in hit:
-        classes = [lo & ~h | hi & h for lo, hi in zip(classes + [0], [0] + classes)]
-    images = [0] * (2 * n)
-    for j, t in enumerate(g):
-        h, shift = hit[t], j << n
-        for c, cls in enumerate(classes):
-            if c:
-                images[2 * c - 1] |= (cls & h) << shift
-            if c < n:
-                images[2 * c] |= (cls & ~h) << shift
-    return images
+    return images_under(ctx, _index_map(ctx, s))
 
 
 def is_prime(s: Substitution) -> bool:
@@ -343,7 +317,6 @@ def classify(v: int, mode: str = "exhaustive") -> list[DependencyClass]:
     per fiber partition suffices and class sizes come from counting the
     self-maps with each fiber profile.  Both modes agree where both run.
     """
-    n = 1 << v
     if mode == "exhaustive":
         if v > 2:
             raise ValueError("exhaustive classification supports v <= 2 "
@@ -354,6 +327,7 @@ def classify(v: int, mode: str = "exhaustive") -> list[DependencyClass]:
         classes = [DependencyClass(key, len(subs), subs[0])
                    for key, subs in groups.items()]
     elif mode == "reduced":
+        n = context(v, 1).n         # the cap check, before any 1 << v
         classes = []
         seen: dict[tuple, tuple[int, ...]] = {}
         for lam in _partitions(n):

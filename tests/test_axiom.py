@@ -182,6 +182,14 @@ def test_expand_cyclic():
         expand_cyclic("$+($*(p))")
 
 
+@pytest.mark.parametrize("text", ["p$", "p$+", "p$*", "$", "$(p)", "$-(p)", "p$+p"])
+def test_expand_cyclic_rejects_truncated_macros(text):
+    with pytest.raises(ValueError, match="malformed cyclic macro"):
+        expand_cyclic(text)
+    with pytest.raises(ValueError, match="malformed cyclic macro"):
+        variant_collapse(AxiomVariant(1, "K", text))
+
+
 def test_registry_counts():
     assert len(named_systems(0)) == 4
     assert len(named_systems(1)) == 10

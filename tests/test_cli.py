@@ -305,6 +305,25 @@ def test_deep_formula_exits_cleanly(argv):
     assert proc.stderr == "error: formula nested too deeply\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("system-of", "p999999999999"),
+    ("normalize", "--v", "999999999999", "p"),
+    ("classify", "--v", "999999999999"),
+])
+def test_huge_variable_index_exits_cleanly(argv):
+    # 1 << 999999999999 would take ~125 GB; the child's address space is
+    # capped at 1 GiB, so reaching for it ends in a MemoryError traceback
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from mmw.cli import main; sys.exit(main())", *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: K[") and proc.stderr.endswith(
+        "minterms, over the cap 2097152\n")
+
+
 @pytest.mark.parametrize("argv", [("normalize", "--v", "1", "[]p->p"),
                                   ("classify", "--v", "2")])
 def test_closed_stdout_exits_quietly(argv):

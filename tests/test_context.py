@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from mmw.context import CapExceededError, DegreeError, context, enumerate_E
+import mmw
+from mmw.context import (CapExceededError, Context, DegreeError, context, enumerate_E,
+                         index_bit_mask)
 from mmw.formula import render
 
 
@@ -24,6 +30,32 @@ def test_cap_env_override(monkeypatch):
     with pytest.raises(CapExceededError):
         context(3, 1)
     assert context(2, 1).universe_size == 64
+
+
+def test_cap_refuses_a_wide_level0_before_shifting():
+    # 2**v alone is over the cap once v reaches the cap's bit length
+    with pytest.raises(CapExceededError,
+                       match=r"K\[22,1\] needs at least 2\^22 minterms, over the cap"):
+        Context(22, 1, cap=1 << 21)
+    assert Context(21, 0, cap=1 << 21).universe_size == 1 << 21
+
+
+def test_cap_refuses_a_huge_variable_index():
+    # 1 << 10**12 would take ~125 GB, so the check runs in a child whose
+    # address space is capped at 1 GiB: without it the child dies of a
+    # MemoryError in place of printing the refusal
+    src = os.path.dirname(os.path.dirname(mmw.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+         "from mmw.context import CapExceededError, context\n"
+         "try:\n    context(10**12, 1)\n"
+         "except CapExceededError as exc:\n    print(exc)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("K[1000000000000,1] needs at least 2^1000000000000 "
+                           "minterms, over the cap 2097152\n")
 
 
 def test_decode_examples():
@@ -125,4 +157,4 @@ def test_index_bit_mask_matches_repunit_division():
             half = 1 << bit
             block = ((1 << half) - 1) << half
             want = block * (ctx.full // ((1 << (2 * half)) - 1))
-            assert ctx.index_bit_mask(bit) == want
+            assert index_bit_mask(bit, ctx.universe_size) == want

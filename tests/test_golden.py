@@ -1,0 +1,81 @@
+"""Byte-identity of CLI output: sha256 digests of the full stdout.
+
+Each command runs in process through ``main(argv)``.  The digests were
+taken from the output of the code before the orbit positions moved into
+``mmw.orbit``, so any change to what these commands print shows here.
+A command given as ``("axiom", ...)`` inside another command's argv is
+replaced by the first line that the ``axiom`` command prints (its
+defining formula), which reaches coordinates in the middle of the
+lattice.
+"""
+
+import hashlib
+
+import pytest
+
+from mmw.cli import main
+
+GOLDEN = {
+    ("lattice", "--v", "3"):
+        "cc4f6ba92e27ab5bc079d640f0b2a21115e691ec188fb97cf899d7950985ec42",
+    ("lattice", "--v", "3", "--format", "json"):
+        "04ad836a9d636cf051ca9c9c7479e6b057c02c16f1ffedd5e4505d64a66b360c",
+    ("lattice", "--v", "2", "--format", "dot"):
+        "485fdfab59e0e8cfe7f22964d377e42c0fd1f6e7cc461bcef0b8f05a074673d4",
+    ("orbits", "--v", "3", "--format", "json"):
+        "eed23d6bb6e7daefbec992d7d3a91187abaa8c286c839ec971de6fcc43f4d44c",
+    ("classify", "--v", "2"):
+        "5ac5838e6cff063dd52ca26c01db03f2ba5afaeb3742b794f2e74574d75abdbe",
+    ("classify", "--v", "3"):
+        "3b9e97d6151659ad49341c59b5550bffbdd4bb76481f2070fe34a44a0e1bf7d9",
+    ("frames", "--correspondence", "--v", "2", "--all-coords", "--format", "json"):
+        "161c73ab088a07630fe3a14c777cbf1164f648e52a964153d4cc62a11f0110f8",
+    ("system-of", "[]p->p"):
+        "9dc3e5a8a2f0d00179d3699e6d8f2798739ed45fd57b242afcb288071c81039d",
+    ("system-of", "[]p-><>p"):
+        "c1ec371e65db28d1e93c5c8152b91d28e47b1ab032beafcfa5181e0465709035",
+    ("system-of", "pq<>p<>q-><>(pq)"):
+        "13f2f0db83180b293f009ee01a8961f69d9c0b8a1b5801764c889d5e968986c1",
+    ("system-of", "pqr->[](pqr)"):
+        "922c2a11eff281bf93caee71f827d109f5a6d69dc2a1781425151c17b2c46b51",
+    ("system-of", "pqrs->[](pqrs)"):
+        "400e69abe7a834cb1f6deb33181a174276f455b91f0e72ee0c5bee39ce1086e9",
+    ("system-of", ("axiom", "--plane", "K", "--x", "1", "--y", "2", "--v", "2")):
+        "471d59fee6f49738bb9f2f2da38e5aae4622fc6f77ece3a40a4349012babe897",
+    ("system-of", ("axiom", "--plane", "D", "--x", "2", "--y", "2", "--v", "3")):
+        "4b29bf1e45ccf9e5ebaa1d97a29622967609d5cc3337a6d17438be7e66c969ef",
+    ("collapse", "--v", "1", "--format", "json", "[]p->p"):
+        "8c405a7a9fadddcf131f8f4ed93398b4f98125df0ae36c93f03efce6f5777506",
+    ("collapse", "--v", "2", "--format", "json", "pq<>p<>q-><>(pq)"):
+        "0684d43461f91678b211fb75264d19ad7ca613bd4e83a99e77a697ac65f10f79",
+    ("collapse", "--v", "3", "--format", "json", "[](p->q)->[]p"):
+        "9515383bb497b312cfc23579478dbe60816aecf581048b02e82aed5b9f6bbbf3",
+    ("collapse", "--v", "2", "--format", "json",
+     ("axiom", "--plane", "D", "--x", "2", "--y", "3", "--v", "2")):
+        "536a9ef15f4ad633d13c832985db075178badf56998b794dcb31cfce8ba15fca",
+    ("collapse", "--v", "3", "--format", "json",
+     ("axiom", "--plane", "K", "--x", "3", "--y", "4", "--v", "3")):
+        "56f758cb74e430111280a2d91c104f7f787f961ec5b4494b2df990472aa88c07",
+    ("collapse", "--v", "4", "--format", "json", "pqrs->[](pqrs)"):
+        "02c816eb9ca191f6a2b8a60bf84a1cd520a12989749f6de06ade371580c8d4e4",
+}
+
+
+def stdout_of(capsys, argv) -> str:
+    code = main(list(argv))
+    out, _ = capsys.readouterr()
+    assert code == 0, argv
+    return out
+
+
+def command_id(argv) -> str:
+    return " ".join("<" + command_id(a) + ">" if isinstance(a, tuple) else a
+                    for a in argv)
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=command_id)
+def test_cli_output_digest(capsys, argv):
+    resolved = [stdout_of(capsys, a).splitlines()[0] if isinstance(a, tuple)
+                else a for a in argv]
+    out = stdout_of(capsys, resolved)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

@@ -13,7 +13,7 @@ from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hass
                          cmm_from_coords, collapse, coord_of, coverage,
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
-from mmw.orbit import label_order, orbit_labels, orbit_map, orbit_masks
+from mmw.orbit import label_order, orbit_labels, orbit_map, orbit_masks, orbit_union
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes,
                               orbit_images)
@@ -285,7 +285,6 @@ def test_k41_census():
     for c in cmms:
         assert dependency_rules_hold(c.orbits, 16)
         assert collapse(c.matrix) == c.matrix
-        assert coord_of(c.matrix) == c.coord
 
 
 def test_union_of_cmms_is_cmm():
@@ -317,11 +316,25 @@ def test_dependency_rules_characterize_cmms():
 
 
 def test_coord_of_inverts_cmm_from_coords():
-    for v in (1, 2, 3):
+    for v in (1, 2, 3, 4):
         for c in enumerate_cmms(v):
             assert coord_of(c.matrix) == c.coord
             assert orbit_labels(c.matrix) == [l for l in label_order(1 << v)
                                               if l in c.orbits]
+
+
+def test_coord_of_admits_exactly_the_dependency_rules():
+    # all 2**16 orbit sums of K[3,1]: coord_of counts x and y and rebuilds
+    # the set, dependency_rules_hold reads the labels
+    ctx = context(3, 1)
+    labels = label_order(ctx.n)
+    admitted = 0
+    for keep in range(1 << len(labels)):
+        coord = coord_of(orbit_union(ctx, keep))
+        combo = frozenset(l for k, l in enumerate(labels) if keep >> k & 1)
+        assert (coord is not None) == dependency_rules_hold(combo, ctx.n), combo
+        admitted += coord is not None
+    assert admitted == 88
 
 
 def test_coord_of_admits_exactly_the_census(exhaustive_census):

@@ -6,9 +6,9 @@ from conftest import random_minmatrix
 
 from mmw.context import DegreeError, context
 from mmw.minmatrix import Minmatrix
-from mmw.orbit import (compute_orbits, display_label, expected_size,
-                       label_order, orbit_closed_form, orbit_map, orbit_masks,
-                       orbit_of, orbit_position)
+from mmw.orbit import (compute_orbits, coord_orbits, display_label,
+                       expected_size, label_order, orbit_closed_form, orbit_map,
+                       orbit_masks, orbit_of, orbit_position)
 from mmw.substitution import apply_minmatrix, enumerate_primes
 
 K11 = context(1, 1)
@@ -49,7 +49,8 @@ def test_k31_orbit_sizes():
 
 
 def test_worklist_equals_closed_form():
-    # the popcount-class masks that every other module reads agree with both
+    # the orbit masks (images under the identity) that every other module
+    # reads agree with both
     for ctx in (context(0, 1), K11, K21, K31):
         closed = orbit_closed_form(ctx)
         assert compute_orbits(ctx) == closed
@@ -71,6 +72,22 @@ def test_v4_masks_partition_universe(rng):
     assert union == ctx.full
     for idx in rng.sample(range(ctx.universe_size), 2000):
         assert (masks[orbit_position(*ctx.split(idx))] >> idx) & 1
+
+
+def test_coord_orbits_is_the_staircase():
+    # against the labels of S_plane(x, y): Vv0 on the K plane, Dd0 and
+    # Dw_1..Dw_y when y >= 0, and Dc_1..Dc_x
+    for n in (1, 2, 4, 8, 16):
+        labels = label_order(n)
+        for plane in "KD":
+            for y in range(-1, n):
+                for x in range(min(y + 1, n - 1) + 1):
+                    want = {"Vv0"} if plane == "K" else set()
+                    if y >= 0:
+                        want |= {"Dd0"} | {f"Dw{k}" for k in range(1, y + 1)}
+                    want |= {f"Dc{k}" for k in range(1, x + 1)}
+                    assert coord_orbits(plane, x, y) == \
+                        sum(1 << labels.index(lbl) for lbl in want), (plane, x, y)
 
 
 def test_orbits_partition_universe():
