@@ -101,34 +101,31 @@ def _label_key(label: str) -> tuple[str, int]:
 
 def cmd_lattice(args) -> int:
     from .lattice import enumerate_cmms, map_to_star
-    from .orbit import display_label
-    cmms = enumerate_cmms(args.v)
+    from .orbit import display_label, labels_of
+    if args.format == "dot":
+        print(_lattice_dot(args.v))
+        return 0
+    out = []
+    for c in enumerate_cmms(args.v):
+        star = map_to_star(c.coord, args.v)
+        name = _registry_name(star)
+        labels = sorted(labels_of(c.orbits, c.ctx.n), key=_label_key)
+        if args.format == "json":
+            out.append({"coord": str(c.coord), "star": str(star),
+                        "plane": c.coord.plane, "x": c.coord.x, "y": c.coord.y,
+                        "orbits": labels, "name": name,
+                        "minterms": list(c.matrix.members())})
+        else:
+            names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
+            tag = f"  ({name})" if name else ""
+            print(f"{c.coord}  ->  {star}  [{names}]{tag}")
     if args.format == "json":
         import json
-        out = []
-        for c in cmms:
-            star = map_to_star(c.coord, args.v)
-            out.append({"coord": str(c.coord), "star": str(star),
-                        "plane": c.coord.plane,
-                        "x": c.coord.x, "y": c.coord.y,
-                        "orbits": sorted(c.orbits, key=_label_key),
-                        "name": _registry_name(star),
-                        "minterms": list(c.matrix.members())})
         print(json.dumps(out))
-    elif args.format == "dot":
-        print(_lattice_dot(args.v, cmms))
-    else:
-        for c in cmms:
-            star = map_to_star(c.coord, args.v)
-            name = _registry_name(star)
-            labels = "+".join(display_label(l, args.v)
-                              for l in sorted(c.orbits, key=_label_key)) or "(empty)"
-            tag = f"  ({name})" if name else ""
-            print(f"{c.coord}  ->  {star}  [{labels}]{tag}")
     return 0
 
 
-def _lattice_dot(v: int, cmms) -> str:
+def _lattice_dot(v: int) -> str:
     from .lattice import build_hasse, map_to_star
     from .orbit import display_label
     hasse = build_hasse(v)
@@ -136,7 +133,7 @@ def _lattice_dot(v: int, cmms) -> str:
     for plane in ("K", "D"):
         lines.append(f"  subgraph cluster_{plane} {{")
         lines.append(f'    label="{plane}-plane";')
-        for c in cmms:
+        for c in hasse.nodes:
             if c.coord.plane != plane:
                 continue
             star = map_to_star(c.coord, v)
@@ -178,9 +175,9 @@ def cmd_system_of(args) -> int:
     from .axiom import system_of
     from .formula import parse
     from .lattice import cmm_from_coords
-    from .orbit import display_label, orbit_labels
+    from .orbit import display_label, labels_of
     coord, origin = system_of(parse(args.formula))
-    labels = orbit_labels(cmm_from_coords(coord, origin).matrix)
+    labels = labels_of(cmm_from_coords(coord, origin).orbits, 1 << origin)
     name = _registry_name(coord)
     if args.format == "json":
         import json

@@ -171,22 +171,22 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
     """
     if fr.size > cap:
         raise ValueError(f"frame has {fr.size} worlds, over the cap {cap}")
-    n = 1 << v
+    n = context(v, 0).n
     if method == "auto":
         method = "semantic" if fm.modal_degree(f) <= 1 else "direct"
     if method == "semantic":
         return _valid_by_types(fr, type_table(normalize(f, context(v, 1))), n)
     if method == "direct":
-        return _falsify(fr, f, v) is None
+        return _falsify(fr, f, v, n) is None
     raise ValueError(f"unknown method {method!r}")
 
 
-def _falsify(fr: Frame, f: fm.Formula, v: int):
+def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
     """(model, world) of the first valuation of ``fr`` falsifying ``f``, or None.
 
     Valuations come in lexicographic order and worlds in index order.
     """
-    for assignment in product(range(1 << v), repeat=fr.size):
+    for assignment in product(range(n), repeat=fr.size):
         model = Model(fr, v, assignment)
         for w in range(fr.size):
             if not eval_model(model, w, f):
@@ -292,7 +292,7 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     """
     if v is None:
         v = max(fm.variables(f), 1)
-    n = 1 << v
+    n = context(v, 0).n         # refuses a level-0 universe over the cap
     table = None
     if fm.modal_degree(f) <= 1:
         try:
@@ -303,7 +303,7 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
         for fr in iter_frames(size):
             if table is not None and _valid_by_types(fr, table, n):
                 continue
-            hit = _falsify(fr, f, v)
+            hit = _falsify(fr, f, v, n)
             if hit is not None:
                 return (fr,) + hit
     return None

@@ -7,18 +7,20 @@ its complete prime orbits, and one critical substitution then enforces
 the dependency rules between orbits (DR1-DR3), so the default collapse
 set is the primes plus one critical substitution.  Exhaustive mode (all
 n**n substitutions, v <= 2) exists as the validating oracle.
+
+A CMM is a coordinate plus its 2n-bit orbit set (``mmw.orbit``); the
+census, Hasse edges, join and meet are arithmetic on orbit sets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import (complete_orbits, coord_orbits, label_order, orbit_masks,
-                    orbit_union)
+from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
+                    orbit_masks, orbit_union)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
                            critical_substitution, orbit_images)
 
@@ -68,14 +70,19 @@ class SystemCoord(Record):
 
 
 class CMM(Record):
-    """A characteristic minmatrix: coordinate, orbit labels, bit matrix."""
+    """A characteristic minmatrix of ``ctx``: coordinate and 2n-bit orbit set."""
 
-    __slots__ = ("coord", "orbits", "matrix")
+    __slots__ = ("ctx", "coord", "orbits")
 
-    def __init__(self, coord: SystemCoord, orbits: frozenset[str], matrix: Minmatrix):
+    def __init__(self, ctx: Context, coord: SystemCoord, orbits: int):
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "orbits", orbits)
-        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def matrix(self) -> Minmatrix:
+        """The union of the orbits, built on each read: 2**(v + 2**v) bits."""
+        return orbit_union(self.ctx, self.orbits)
 
 
 def collapse(m: Minmatrix, subs=None) -> Minmatrix:
@@ -170,9 +177,7 @@ def _cover_patterns(v: int) -> tuple[int, int, int, int]:
 def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
     """The CMM at a coordinate: Vv0 on the K plane, Dd0 plus the staircase."""
     ctx = context(v, 1)
-    keep = coord_orbits(coord.plane, *coord.resolve(ctx.n))
-    labels = frozenset(lbl for k, lbl in enumerate(label_order(ctx.n)) if keep >> k & 1)
-    return CMM(coord, labels, orbit_union(ctx, keep))
+    return CMM(ctx, coord, coord_orbits(coord.plane, *coord.resolve(ctx.n)))
 
 
 def coord_of(m: Minmatrix) -> SystemCoord | None:
@@ -215,8 +220,8 @@ def coverage(ctx: Context, label_i: str, label_j: str, s: Substitution) -> str:
         coverage_key(s)[order.index(label_i)][order.index(label_j)]]
 
 
-def dependency_rules_hold(labels: frozenset[str] | set[str], n: int) -> bool:
-    """DR1-DR3: the orbit sets that build a non-collapsing candidate.
+def dependency_rules_hold(labels: set[str] | frozenset[str] | list[str], n: int) -> bool:
+    """DR1-DR3 on orbit labels: the test oracle for the non-collapsing sets.
 
     DR1: a non-empty set includes Vv0 or Dd0.  DR2: Dw_k needs Dd0 and
     every lower Dw.  DR3: Dc_k needs Dd0, every lower Dc, and every Dw
@@ -243,12 +248,12 @@ def dependency_rules_hold(labels: frozenset[str] | set[str], n: int) -> bool:
     return True
 
 
-def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
-    """Orbit-label sets whose union is a collapse fixpoint under ``subs``.
+def surviving_orbit_sums(v: int, subs=None) -> list[int]:
+    """Orbit sets whose union is a collapse fixpoint under ``subs``.
 
     The census behind the lattice: of the 2**(2n) candidate orbit sums,
-    exactly the coordinate CMMs survive.  Sets come by size, then in
-    ``itertools.combinations`` order of ``label_order``.
+    exactly the orbit sets of the coordinate CMMs survive.  Sets come by
+    size, then in ``itertools.combinations`` order of their positions.
 
     With the default set an orbit sum is a fixpoint iff each of its orbits
     is covered for the pattern of its two predecessors (``_covered``), so
@@ -259,32 +264,27 @@ def surviving_orbit_sums(v: int, subs=None) -> list[frozenset[str]]:
     first sigma that does.
     """
     ctx = context(v, 1)
-    labels = label_order(ctx.n)
-    if subs is None:
-        return _walk_survivors(labels, _cover_patterns(v))
-    survivors = []
-    for r in range(len(labels) + 1):
-        for combo in combinations(range(len(labels)), r):
-            m = orbit_union(ctx, sum(1 << k for k in combo))
-            if all(m & apply_minmatrix(m, s) == m for s in subs):
-                survivors.append(frozenset(labels[k] for k in combo))
-    return survivors
-
-
-def _walk_survivors(labels: list[str],
-                    patterns: tuple[int, int, int, int]) -> list[frozenset[str]]:
+    size = 2 * ctx.n
     found = []
-    stack = [(0, 0)]                   # (next orbit to decide, kept so far)
-    while stack:
-        j, keep = stack.pop()
-        if j == len(labels):
-            found.append([k for k in range(j) if keep >> k & 1])
-            continue
-        stack.append((j + 1, keep))
-        if _covered(keep, patterns) >> j & 1:
-            stack.append((j + 1, keep | 1 << j))
-    found.sort(key=lambda ks: (len(ks), ks))
-    return [frozenset(labels[k] for k in ks) for ks in found]
+    if subs is None:
+        patterns = _cover_patterns(v)
+        stack = [(0, 0)]               # (next orbit to decide, kept so far)
+        while stack:
+            j, keep = stack.pop()
+            if j == size:
+                found.append(keep)
+                continue
+            stack.append((j + 1, keep))
+            if _covered(keep, patterns) >> j & 1:
+                stack.append((j + 1, keep | 1 << j))
+    else:
+        for keep in range(1 << size):
+            m = orbit_union(ctx, keep)
+            if all(m & apply_minmatrix(m, s) == m for s in subs):
+                found.append(keep)
+    found.sort(key=lambda keep: (keep.bit_count(),
+                                 [k for k in range(size) if keep >> k & 1]))
+    return found
 
 
 def map_to_star(coord: SystemCoord, v: int) -> SystemCoord:
@@ -308,26 +308,16 @@ class HasseDiagram(Record):
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""
-        byset = {c.orbits: c for c in self.nodes}
-        ca, cb = self._get(a), self._get(b)
-        union = ca.orbits | cb.orbits
-        if union not in byset:
-            raise InternalConsistencyError(
-                f"union of {a} and {b} is not a coordinate CMM")
-        return byset[union]
+        return self._with_orbits(self._get(a).orbits | self._get(b).orbits,
+                                 f"union of {a} and {b}")
 
     def meet(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice meet: collapse of the intersection (equality at level 1)."""
-        byset = {c.orbits: c for c in self.nodes}
         ca, cb = self._get(a), self._get(b)
         inter = ca.matrix & cb.matrix
         if collapse(inter) != inter:
             raise InternalConsistencyError("level-1 meet should not collapse")
-        got = ca.orbits & cb.orbits
-        if got not in byset:
-            raise InternalConsistencyError(
-                f"intersection of {a} and {b} is not a coordinate CMM")
-        return byset[got]
+        return self._with_orbits(ca.orbits & cb.orbits, f"intersection of {a} and {b}")
 
     def _get(self, coord: SystemCoord) -> CMM:
         for c in self.nodes:
@@ -335,14 +325,20 @@ class HasseDiagram(Record):
                 return c
         raise KeyError(str(coord))
 
+    def _with_orbits(self, keep: int, what: str) -> CMM:
+        for c in self.nodes:
+            if c.orbits == keep:
+                return c
+        raise InternalConsistencyError(f"{what} is not a coordinate CMM")
+
 
 def build_hasse(v: int) -> HasseDiagram:
-    """Nodes are the coordinate CMMs; edges link sets one orbit apart."""
+    """Nodes are the coordinate CMMs; an edge adds one orbit, named by its label."""
     nodes = enumerate_cmms(v)
     edges = []
     for a in nodes:
         for b in nodes:
-            diff = b.orbits - a.orbits
-            if len(diff) == 1 and a.orbits < b.orbits:
-                edges.append((a.coord, b.coord, next(iter(diff))))
+            step = a.orbits ^ b.orbits
+            if step & b.orbits and step & (step - 1) == 0:
+                edges.append((a.coord, b.coord, labels_of(step, a.ctx.n)[0]))
     return HasseDiagram(tuple(nodes), tuple(edges))

@@ -10,10 +10,10 @@ builds the same orbits straight from the signatures, one minterm at a
 time; the two must agree.  The masks every other module reads
 (``orbit_masks``, ``orbit_map``) are the orbits' images under the
 identity (``images_under``), and the two constructions above are their
-oracles.  A set of orbits is a 2n-bit int, bit k standing for position
-k of ``label_order``: ``complete_orbits`` reads it off a minmatrix,
-``orbit_union`` turns it back into one, and ``coord_orbits`` gives the
-set of a lattice coordinate; no other module knows the positions.
+oracles.  An orbit set is a 2n-bit int, bit k for position k of
+``label_order``: ``complete_orbits`` reads it off a minmatrix,
+``orbit_union`` turns it into one, ``coord_orbits`` gives a coordinate's
+set and ``labels_of`` its labels; no other module knows the positions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
     "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
     "orbit_position", "display_label", "complete_orbits", "orbit_union",
-    "images_under", "coord_orbits",
+    "images_under", "coord_orbits", "labels_of",
 ]
 
 
@@ -214,10 +214,14 @@ def orbit_union(ctx: Context, keep: int) -> Minmatrix:
     return Minmatrix(ctx, bits)
 
 
+def labels_of(keep: int, n: int) -> list[str]:
+    """Labels of the orbits in the set ``keep`` of K[v,1] (n = 2**v), in label order."""
+    return [lbl for k, lbl in enumerate(label_order(n)) if keep >> k & 1]
+
+
 def orbit_labels(m: Minmatrix) -> list[str]:
     """Labels of the prime orbits wholly inside ``m``, in label order."""
-    keep = complete_orbits(m)
-    return [lbl for k, lbl in enumerate(label_order(m.ctx.n)) if keep >> k & 1]
+    return labels_of(complete_orbits(m), m.ctx.n)
 
 
 def expected_size(label: str, n: int) -> int:

@@ -18,7 +18,7 @@ from mmw.kripke import correspondence_check, type_table
 from mmw.lattice import (SystemCoord, cmm_from_coords, collapse, coverage,
                          dependency_rules_hold, enumerate_cmms)
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import (compute_orbits, expected_size, label_order,
+from mmw.orbit import (compute_orbits, expected_size, label_order, labels_of,
                        orbit_closed_form)
 from mmw.substitution import (apply_minmatrix, classify, compose,
                               critical_substitution, enumerate_primes)
@@ -90,7 +90,7 @@ def test_criterion_4_lattice_census(exhaustive_census):
 def test_criterion_5_dependency_rules():
     for v in (1, 2, 3):
         n = 1 << v
-        coords = {frozenset(c.orbits) for c in enumerate_cmms(v)}
+        coords = {frozenset(labels_of(c.orbits, n)) for c in enumerate_cmms(v)}
         for r in range(2 * n + 1):
             for combo in combinations(label_order(n), r):
                 assert dependency_rules_hold(frozenset(combo), n) == \

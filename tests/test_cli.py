@@ -309,6 +309,8 @@ def test_deep_formula_exits_cleanly(argv):
     ("system-of", "p999999999999"),
     ("normalize", "--v", "999999999999", "p"),
     ("classify", "--v", "999999999999"),
+    ("countermodel", "p29"),
+    ("countermodel", "p999999999999"),
 ])
 def test_huge_variable_index_exits_cleanly(argv):
     # 1 << 999999999999 would take ~125 GB; the child's address space is

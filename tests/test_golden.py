@@ -2,7 +2,8 @@
 
 Each command runs in process through ``main(argv)``.  The digests were
 taken from the output of the code before the orbit positions moved into
-``mmw.orbit``, so any change to what these commands print shows here.
+``mmw.orbit``, and the two v=4 lattice digests before the lattice moved
+into orbit space, so any change to what these commands print shows here.
 A command given as ``("axiom", ...)`` inside another command's argv is
 replaced by the first line that the ``axiom`` command prints (its
 defining formula), which reaches coordinates in the middle of the
@@ -22,6 +23,10 @@ GOLDEN = {
         "04ad836a9d636cf051ca9c9c7479e6b057c02c16f1ffedd5e4505d64a66b360c",
     ("lattice", "--v", "2", "--format", "dot"):
         "485fdfab59e0e8cfe7f22964d377e42c0fd1f6e7cc461bcef0b8f05a074673d4",
+    ("lattice", "--v", "4"):
+        "6a725f6f34effb4aeef13c341ba3d21b26a61e2d4bbba9e57026e14432311512",
+    ("lattice", "--v", "4", "--format", "dot"):
+        "967bf55a3df4234ef5e109eab67ea6e2a6ca0317fe2217208f1a7d19bc8cb3cb",
     ("orbits", "--v", "3", "--format", "json"):
         "eed23d6bb6e7daefbec992d7d3a91187abaa8c286c839ec971de6fcc43f4d44c",
     ("classify", "--v", "2"):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,7 +15,8 @@ from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hass
                          cmm_from_coords, collapse, coord_of, coverage,
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
-from mmw.orbit import label_order, orbit_labels, orbit_map, orbit_masks, orbit_union
+from mmw.orbit import (label_order, labels_of, orbit_labels, orbit_map, orbit_masks,
+                       orbit_union)
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes,
                               orbit_images)
@@ -138,12 +141,12 @@ def orbit_space_collapse(m, images):
 
 
 def orbit_sums(v):
-    """(labels, minmatrix) of every orbit sum, by size, in combinations order."""
+    """(orbit set, minmatrix) of every orbit sum, by size, in combinations order."""
     ctx = context(v, 1)
-    labels, masks = label_order(ctx.n), orbit_masks(ctx)
-    for r in range(len(labels) + 1):
-        for combo in combinations(range(len(labels)), r):
-            yield (frozenset(labels[k] for k in combo),
+    masks = orbit_masks(ctx)
+    for r in range(len(masks) + 1):
+        for combo in combinations(range(len(masks)), r):
+            yield (sum(1 << k for k in combo),
                    Minmatrix(ctx, sum(masks[k] for k in combo)))
 
 
@@ -208,11 +211,11 @@ def test_first_variable_transplant_is_too_weak():
 
 
 def test_cmm_from_coords_examples():
-    assert cmm_from_coords(SystemCoord("K", 0, STAR), 1).orbits == \
-        {"Vv0", "Dd0", "Dw1"}
-    assert cmm_from_coords(SystemCoord("D", 0, 0), 1).orbits == {"Dd0"}
-    assert cmm_from_coords(SystemCoord("K", 2, STAR), 2).orbits == \
-        {"Vv0", "Dd0", "Dc1", "Dw1", "Dc2", "Dw2", "Dw3"}
+    assert labels_of(cmm_from_coords(SystemCoord("K", 0, STAR), 1).orbits, 2) == \
+        ["Vv0", "Dd0", "Dw1"]
+    assert labels_of(cmm_from_coords(SystemCoord("D", 0, 0), 1).orbits, 2) == ["Dd0"]
+    assert labels_of(cmm_from_coords(SystemCoord("K", 2, STAR), 2).orbits, 4) == \
+        ["Vv0", "Dd0", "Dc1", "Dw1", "Dc2", "Dw2", "Dw3"]
     with pytest.raises(ValueError):
         cmm_from_coords(SystemCoord("K", 2, 0), 2)
 
@@ -244,17 +247,9 @@ def test_exhaustive_census(exhaustive_census):
 def test_survival_pass_matches_collapse_filter():
     # one survival pass over explicit subs keeps exactly the collapse fixpoints
     for v in (1, 2):
-        ctx = context(v, 1)
-        om = orbit_map(ctx)
-        labels = label_order(ctx.n)
         for subs in (all_substitutions(v),
                      list(enumerate_primes(v)) + [critical_substitution(v)]):
-            want = []
-            for r in range(len(labels) + 1):
-                for combo in combinations(labels, r):
-                    m = Minmatrix(ctx, sum(om[l].bits for l in combo))
-                    if collapse(m, subs) == m:
-                        want.append(frozenset(combo))
+            want = [keep for keep, m in orbit_sums(v) if collapse(m, subs) == m]
             assert surviving_orbit_sums(v, subs) == want
 
 
@@ -266,7 +261,7 @@ def test_default_census_matches():
 def test_census_walk_matches_collapse_loop():
     # the walk against collapsing each of the 2**(2n) orbit sums, as lists
     for v in (0, 1, 2, 3):
-        want = [labels for labels, m in orbit_sums(v) if collapse(m) == m]
+        want = [keep for keep, m in orbit_sums(v) if collapse(m) == m]
         assert surviving_orbit_sums(v) == want
 
 
@@ -283,7 +278,7 @@ def test_k41_census():
     assert len(survivors) == len(cmms) == 16 * 19 == 304
     assert set(survivors) == {c.orbits for c in cmms}
     for c in cmms:
-        assert dependency_rules_hold(c.orbits, 16)
+        assert dependency_rules_hold(labels_of(c.orbits, 16), 16)
         assert collapse(c.matrix) == c.matrix
 
 
@@ -305,7 +300,7 @@ def test_level1_meet_is_intersection():
 def test_dependency_rules_characterize_cmms():
     for v in (1, 2, 3):
         n = 1 << v
-        coords = {frozenset(c.orbits) for c in enumerate_cmms(v)}
+        coords = {frozenset(labels_of(c.orbits, n)) for c in enumerate_cmms(v)}
         labels = label_order(n)
         admitted = set()
         for r in range(len(labels) + 1):
@@ -319,19 +314,17 @@ def test_coord_of_inverts_cmm_from_coords():
     for v in (1, 2, 3, 4):
         for c in enumerate_cmms(v):
             assert coord_of(c.matrix) == c.coord
-            assert orbit_labels(c.matrix) == [l for l in label_order(1 << v)
-                                              if l in c.orbits]
+            assert orbit_labels(c.matrix) == labels_of(c.orbits, 1 << v)
 
 
 def test_coord_of_admits_exactly_the_dependency_rules():
     # all 2**16 orbit sums of K[3,1]: coord_of counts x and y and rebuilds
     # the set, dependency_rules_hold reads the labels
     ctx = context(3, 1)
-    labels = label_order(ctx.n)
     admitted = 0
-    for keep in range(1 << len(labels)):
+    for keep in range(1 << 2 * ctx.n):
         coord = coord_of(orbit_union(ctx, keep))
-        combo = frozenset(l for k, l in enumerate(labels) if keep >> k & 1)
+        combo = labels_of(keep, ctx.n)
         assert (coord is not None) == dependency_rules_hold(combo, ctx.n), combo
         admitted += coord is not None
     assert admitted == 88
@@ -344,12 +337,13 @@ def test_coord_of_admits_exactly_the_census(exhaustive_census):
         labels = label_order(ctx.n)
         survivors = set(exhaustive_census[v])
         for r in range(len(labels) + 1):
-            for combo in combinations(labels, r):
+            for combo in combinations(range(len(labels)), r):
                 m = Minmatrix.empty(ctx)
-                for lbl in combo:
-                    m = m | orbits[lbl]
-                assert orbit_labels(m) == list(combo)
-                assert (coord_of(m) is not None) == (frozenset(combo) in survivors)
+                for k in combo:
+                    m = m | orbits[labels[k]]
+                assert orbit_labels(m) == [labels[k] for k in combo]
+                keep = sum(1 << k for k in combo)
+                assert (coord_of(m) is not None) == (keep in survivors)
 
 
 def test_coord_of_rejects_non_coordinates():
@@ -399,23 +393,58 @@ def test_hasse_diagram_v1():
     assert len(hasse.nodes) == 10
     bottoms = [c for c in hasse.nodes if not c.orbits]
     assert len(bottoms) == 1 and bottoms[0].coord == SystemCoord("D", 0, -1)
-    tops = [c for c in hasse.nodes if len(c.orbits) == 4]
+    tops = [c for c in hasse.nodes if c.orbits.bit_count() == 4]
     assert len(tops) == 1 and tops[0].coord == SystemCoord("K", 1, 1)
     # Ver covers F, the difference being Vv0
     assert (SystemCoord("D", 0, -1), SystemCoord("K", 0, -1), "Vv0") in hasse.edges
     join = hasse.join(SystemCoord("K", 0, -1), SystemCoord("D", 0, 0))
-    assert join.orbits == {"Vv0", "Dd0"}             # Ver v Triv = K_triv
+    assert labels_of(join.orbits, 2) == ["Vv0", "Dd0"]     # Ver v Triv = K_triv
     meet = hasse.meet(SystemCoord("K", 0, 1), SystemCoord("D", 1, 1))
-    assert meet.orbits == {"Dd0", "Dw1"}
+    assert labels_of(meet.orbits, 2) == ["Dd0", "Dw1"]
+
+
+def test_join_and_meet_of_every_pair():
+    # Theorem 1a and the level-1 meet, node pair by node pair, read on the
+    # matrices that the two orbit sets build
+    for v in (1, 2):
+        hasse = build_hasse(v)
+        for a in hasse.nodes:
+            for b in hasse.nodes:
+                assert hasse.join(a.coord, b.coord).matrix == a.matrix | b.matrix
+                assert hasse.meet(a.coord, b.coord).matrix == a.matrix & b.matrix
+
+
+HASSE_MEMORY_SCRIPT = """
+import tracemalloc
+from mmw.context import context
+from mmw.lattice import build_hasse, enumerate_cmms
+context(4, 1)
+tracemalloc.start()
+enumerate_cmms(4)
+build_hasse(4)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_k41_lattice_peak_memory():
+    # the 304 K[4,1] CMMs and their 694 edges are orbit-set arithmetic:
+    # the peak allocation stays under 1 MiB, where building each CMM's
+    # 2**20-bit matrix would take ~45 MiB (context(4, 1) is built first)
+    from test_cli import subprocess_env
+    proc = subprocess.run([sys.executable, "-c", HASSE_MEMORY_SCRIPT],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1 << 20
 
 
 def test_hasse_edges_are_single_orbit_steps():
     for v in (1, 2):
         hasse = build_hasse(v)
-        byc = {c.coord: c for c in hasse.nodes}
+        byc = {c.coord: c.orbits for c in hasse.nodes}
         for a, b, orb in hasse.edges:
-            assert byc[b].orbits - byc[a].orbits == {orb}
-            assert byc[a].orbits < byc[b].orbits
+            assert labels_of(byc[b] & ~byc[a], 1 << v) == [orb]
+            assert byc[a] & ~byc[b] == 0
 
 
 def test_hasse_edges_k41():

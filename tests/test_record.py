@@ -45,9 +45,7 @@ CASES = {
                               "violations")),
     "SystemCoord": (lambda: SystemCoord("K", 1, STAR), SystemCoord("D", 1, STAR),
                     ("plane", "x", "y")),
-    "CMM": (lambda: CMM(COORD, frozenset({"Vv0"}), Minmatrix(K11, 17)),
-            CMM(COORD, frozenset({"Vv0"}), Minmatrix(K11, 16)),
-            ("coord", "orbits", "matrix")),
+    "CMM": (lambda: CMM(K11, COORD, 15), CMM(K11, COORD, 14), ("ctx", "coord", "orbits")),
     "HasseDiagram": (lambda: HasseDiagram((), ()),
                      HasseDiagram((), ((COORD, COORD, "Vv0"),)), ("nodes", "edges")),
     "AxiomVariant": (lambda: AxiomVariant(1, "D", "[]p->p"),
