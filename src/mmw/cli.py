@@ -196,10 +196,7 @@ def cmd_system_of(args) -> int:
 def cmd_classify(args) -> int:
     import json
     from .substitution import classify
-    mode = args.mode
-    if mode is None:
-        mode = "exhaustive" if args.v <= 2 else "reduced"
-    classes = classify(args.v, mode)
+    classes = classify(args.v)
     out = [{"size": c.size,
             "representative": {"v": c.representative.v,
                                "tables": list(c.representative.tables)},
@@ -312,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", cmd_classify, formats=("json",),
             help="substitution classes of S(v,0)")
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "reduced"), default=None)
 
     p = add("frames", cmd_frames, help="Kripke frame correspondence checks")
     p.add_argument("--correspondence", action="store_true")

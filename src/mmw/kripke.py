@@ -34,7 +34,7 @@ from . import formula as fm
 from ._record import Record
 from .context import CapExceededError, context
 from .lattice import STAR, SystemCoord, cmm_from_coords, map_to_star
-from .minmatrix import Minmatrix, normalize
+from .minmatrix import normalize
 from .orbit import complete_orbits, coord_orbits
 
 __all__ = [
@@ -129,20 +129,17 @@ def _seen(frame: Frame, w: int):
         row ^= low
 
 
-def type_table(m: Minmatrix) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """Per-type validity table ``ok[loop][c]`` of the K[v,1] minmatrix ``m``.
+def type_table(kept: int, n: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Per-type validity table ``ok[loop][c]`` of a K[v,1] minmatrix m, n = 2**v.
 
     A world has type (loop, c) when its self-loop bit is ``loop`` and it
     sees k other worlds with c = min(k, n); ``ok[loop][c]`` is true iff
     ``m`` holds at such a world under every valuation.  The minterms a
     type realizes are the orbit set of a coordinate (``coord_orbits``),
-    so it is ok iff they are among ``complete_orbits(m)``: a blind world
-    realizes S_K(0,-1), an irreflexive one S_D(min(c, n-1), c-1), and a
-    reflexive one S_D(0, min(c, n-1)).
+    so it is ok iff they are among ``kept = complete_orbits(m)``: a blind
+    world realizes S_K(0,-1), an irreflexive one S_D(min(c, n-1), c-1),
+    and a reflexive one S_D(0, min(c, n-1)).
     """
-    n = m.ctx.n
-    kept = complete_orbits(m)
-
     def spans(plane: str, x: int, y: int) -> bool:
         orbits = coord_orbits(plane, x, y)
         return kept & orbits == orbits
@@ -175,7 +172,8 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
     if method == "auto":
         method = "semantic" if fm.modal_degree(f) <= 1 else "direct"
     if method == "semantic":
-        return _valid_by_types(fr, type_table(normalize(f, context(v, 1))), n)
+        kept = complete_orbits(normalize(f, context(v, 1)))
+        return _valid_by_types(fr, type_table(kept, n), n)
     if method == "direct":
         return _falsify(fr, f, v, n) is None
     raise ValueError(f"unknown method {method!r}")
@@ -256,7 +254,7 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     sample per size when ``sample`` is given): the coordinate's axiom is
     valid on the frame iff the star-mapped condition holds at all worlds.
     """
-    table = type_table(cmm_from_coords(coord, v).matrix)
+    table = type_table(cmm_from_coords(coord, v).orbits, 1 << v)
     star = map_to_star(coord, v)
     cond = FrameCondition(star.plane, star.x, star.y)
     n = 1 << v
@@ -296,7 +294,7 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     table = None
     if fm.modal_degree(f) <= 1:
         try:
-            table = type_table(normalize(f, context(v, 1)))
+            table = type_table(complete_orbits(normalize(f, context(v, 1))), n)
         except CapExceededError:
             pass            # K[v,1] too large: evaluate every valuation
     for size in range(1, max_worlds + 1):

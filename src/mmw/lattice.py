@@ -20,9 +20,9 @@ from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
 from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
-                    orbit_masks, orbit_union)
+                    orbit_union, source_orbits)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
-                           critical_substitution, orbit_images)
+                           critical_substitution)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
@@ -143,34 +143,23 @@ def _cover_patterns(v: int) -> tuple[int, int, int, int]:
     The critical image of orbit i meets only orbits i, i+1 and i+2, so
     whether a kept orbit j lies inside the image of the kept orbits
     depends only on which of orbits j-2 and j-1 are kept.  Bit j of
-    ``patterns[p]`` says orbit j is covered by its own image plus that of
-    orbit j-2 if ``p & 1`` and of orbit j-1 if ``p & 2``.  A larger
+    ``patterns[p]`` says the critical sources of orbit j (``source_orbits``)
+    lie in orbit j, in j-2 if ``p & 1`` and in j-1 if ``p & 2``.  A larger
     pattern covers at least as much, so the masks are nested.  At v = 0
     there is no critical substitution and every orbit is covered.
     """
-    ctx = context(v, 1)
-    masks = orbit_masks(ctx)
     if v == 0:
-        full = (1 << len(masks)) - 1
-        return full, full, full, full
-    images = orbit_images(ctx, critical_substitution(v))
-    for i, image in enumerate(images):
-        window = 0
-        for mask in masks[i:i + 3]:
-            window |= mask
-        if image & ~window:
-            raise InternalConsistencyError(
-                f"the critical image of orbit {i} meets an orbit outside {i}..{i + 2}")
+        return 0b11, 0b11, 0b11, 0b11
     patterns = [0, 0, 0, 0]
-    for j, mask in enumerate(masks):
+    for j, sources in enumerate(source_orbits(critical_substitution(v).index_map())):
+        bit, before2, before1 = 1 << j, 1 << j >> 2, 1 << j >> 1
+        if sources & ~(bit | before2 | before1):
+            raise InternalConsistencyError(
+                f"orbit {j} meets the critical image of an orbit outside {j - 2}..{j}")
         for p in range(4):
-            cover = images[j]
-            if p & 1 and j >= 2:
-                cover |= images[j - 2]
-            if p & 2 and j >= 1:
-                cover |= images[j - 1]
-            if mask & cover == mask:
-                patterns[p] |= 1 << j
+            cover = bit | (before2 if p & 1 else 0) | (before1 if p & 2 else 0)
+            if not sources & ~cover:
+                patterns[p] |= bit
     return tuple(patterns)
 
 
@@ -263,10 +252,9 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
     it, m & (m o sigma) == m for every sigma, so the test stops at the
     first sigma that does.
     """
-    ctx = context(v, 1)
-    size = 2 * ctx.n
     found = []
     if subs is None:
+        size = 2 * context(v, 0).n      # builds no K[v,1], so runs past its cap
         patterns = _cover_patterns(v)
         stack = [(0, 0)]               # (next orbit to decide, kept so far)
         while stack:
@@ -278,6 +266,8 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
             if _covered(keep, patterns) >> j & 1:
                 stack.append((j + 1, keep | 1 << j))
     else:
+        ctx = context(v, 1)
+        size = 2 * ctx.n
         for keep in range(1 << size):
             m = orbit_union(ctx, keep)
             if all(m & apply_minmatrix(m, s) == m for s in subs):

@@ -10,15 +10,18 @@ builds the same orbits straight from the signatures, one minterm at a
 time; the two must agree.  The masks every other module reads
 (``orbit_masks``, ``orbit_map``) are the orbits' images under the
 identity (``images_under``), and the two constructions above are their
-oracles.  An orbit set is a 2n-bit int, bit k for position k of
-``label_order``: ``complete_orbits`` reads it off a minmatrix,
-``orbit_union`` turns it into one, ``coord_orbits`` gives a coordinate's
-set and ``labels_of`` its labels; no other module knows the positions.
+oracles; which orbits a substitution's images meet is counted from its
+fibre sizes (``source_orbits``).  An orbit set is a 2n-bit int, bit k
+for position k of ``label_order``: ``complete_orbits`` reads it off a
+minmatrix, ``orbit_union`` turns it into one, ``coord_orbits`` gives a
+coordinate's set and ``labels_of`` its labels; no other module knows the
+positions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from ._record import Record
@@ -29,7 +32,7 @@ __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
     "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
     "orbit_position", "display_label", "complete_orbits", "orbit_union",
-    "images_under", "coord_orbits", "labels_of",
+    "images_under", "source_orbits", "coord_orbits", "labels_of",
 ]
 
 
@@ -169,6 +172,34 @@ def images_under(ctx: Context, g) -> list[int]:
             if c < n:
                 images[2 * c] |= (cls & ~h) << shift
     return images
+
+
+def source_orbits(g) -> list[int]:
+    """Per orbit q, the orbit set holding the sources of q's minterms under ``g``.
+
+    ``g`` is a substitution's level-0 map; bit i of entry q is set iff the
+    image of orbit i meets orbit q (``images_under``).  Counted from the
+    fibre sizes: a minterm (j, e) of orbit q has |e| = k and self bit r;
+    besides j it can take a of the other members of j's fibre and meet c
+    other fibres exactly when c <= k - r - a <= (the sum of the c largest
+    other fibres).  Its source then meets c + m fibres, m = [r + a > 0]
+    of them its own section's, and lies in orbit 2(c + m) - m.
+    """
+    n = len(g)
+    sizes = sorted((g.count(t) for t in set(g)), reverse=True)
+    rel = [0] * (2 * n)
+    for f in set(sizes):
+        others = list(sizes)
+        others.remove(f)
+        most = list(accumulate(others, initial=0))   # most[c]: in the c largest
+        for q in range(2 * n):
+            k, r = (q + 1) // 2, q & 1
+            for a in range(min(f - 1, k - r) + 1):
+                rest, m = k - r - a, int(r + a > 0)
+                for c, reach in enumerate(most[:rest + 1]):
+                    if rest <= reach:
+                        rel[q] |= 1 << (2 * (c + m) - m)
+    return rel
 
 
 @lru_cache(maxsize=None)

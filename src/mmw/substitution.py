@@ -23,9 +23,9 @@ minterms are disjoint, and the image of a minmatrix ``m`` is
 only through a table of ``2**n`` entries, so one pass over the universe
 gives the image of a minmatrix (``apply_minmatrix``).  The prime orbit
 of a source depends only on how many fibres of ``g`` the factor states
-``e`` meet and whether they meet the section's own, so the images of all
-``2n`` orbits (``orbit_images``) are built from those classes of
-e-values, in ``mmw.orbit``.  Nothing is cached per substitution.
+``e`` meet and whether they meet the section's own, so the coverage key
+is counted from the fibre sizes of ``g`` (``orbit.source_orbits``).
+Nothing is cached per substitution.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from . import formula as fm
 from ._record import Record
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
-from .orbit import images_under, orbit_masks
+from .orbit import source_orbits
 
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
-    "apply_minmatrix", "orbit_images", "is_prime", "enumerate_primes",
+    "apply_minmatrix", "is_prime", "enumerate_primes",
     "prime_permutations", "critical_substitution", "all_substitutions",
     "DependencyClass", "classify",
 ]
@@ -129,12 +129,6 @@ def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
     return go(f)
 
 
-def _index_map(ctx: Context, s: Substitution) -> tuple[int, ...]:
-    if s.v != ctx.v:
-        raise ValueError("substitution arity does not match the context")
-    return s.index_map()
-
-
 def _source_map(ctx: Context,
                 s: Substitution) -> tuple[tuple[int, ...], list[int] | None]:
     """(g, img): phi_s sends a level-1 minterm (j, e) to (g[j], img[e]).
@@ -142,7 +136,9 @@ def _source_map(ctx: Context,
     ``img[e]`` sets bit ``g(i)`` for every factor ``i`` positive in ``e``;
     at level 0 there are no factors and ``img`` is None.
     """
-    g = _index_map(ctx, s)
+    if s.v != ctx.v:
+        raise ValueError("substitution arity does not match the context")
+    g = s.index_map()
     if ctx.d > 1:
         raise DegreeError("substitution application supports d <= 1")
     if ctx.d == 0:
@@ -178,16 +174,6 @@ def apply_minmatrix(m: Minmatrix, s: Substitution) -> Minmatrix:
 def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
     """The minmatrix of (minterm index) o s: the fibre phi_s^-1(index)."""
     return apply_minmatrix(Minmatrix.from_indices(ctx, (index,)), s)
-
-
-def orbit_images(ctx: Context, s: Substitution) -> list[int]:
-    """Masks of the images under ``s`` of the 2n prime orbits, in label order.
-
-    Read off the fibres of the level-0 map of ``s`` (``orbit.images_under``).
-    """
-    if ctx.d != 1:
-        raise DegreeError("prime orbits are computed for d = 1 contexts")
-    return images_under(ctx, _index_map(ctx, s))
 
 
 def is_prime(s: Substitution) -> bool:
@@ -269,17 +255,15 @@ class DependencyClass(Record):
 
 
 def coverage_key(s: Substitution) -> tuple:
-    """The {none, partial, full} coverage matrix of s over the prime orbits."""
-    ctx = context(s.v, 1)
-    masks = orbit_masks(ctx)
-    key = []
-    for image in orbit_images(ctx, s):
-        row = []
-        for mj in masks:
-            inter = image & mj
-            row.append(0 if inter == 0 else (2 if inter == mj else 1))
-        key.append(tuple(row))
-    return tuple(key)
+    """The {none, partial, full} coverage matrix of s over the prime orbits.
+
+    Entry (i, q) is 0 when the image of orbit i misses orbit q, 2 when
+    every minterm of q has its source in orbit i, and 1 otherwise.
+    """
+    sources = source_orbits(s.index_map())
+    return tuple(tuple(0 if not src >> i & 1 else 2 if src == 1 << i else 1
+                       for src in sources)
+                 for i in range(len(sources)))
 
 
 def _partition_count(lam: tuple[int, ...], n: int) -> int:
@@ -308,14 +292,15 @@ def _partitions(total: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def classify(v: int, mode: str = "exhaustive") -> list[DependencyClass]:
+def classify(v: int, mode: str = "reduced") -> list[DependencyClass]:
     """Partition all of S(v,0) by coverage key; report class sizes.
 
-    ``exhaustive`` computes the key of every substitution (v <= 2).
-    ``reduced`` relies on two-sided prime invariance: the key depends
-    only on the multiset of preimage-fiber sizes, so one representative
-    per fiber partition suffices and class sizes come from counting the
-    self-maps with each fiber profile.  Both modes agree where both run.
+    ``reduced`` keys one representative per fiber partition: the key is
+    counted from the fiber sizes of the level-0 map
+    (``orbit.source_orbits``), so maps with the same sizes share it, and
+    class sizes come from counting the self-maps with each fiber
+    profile.  ``exhaustive`` keys every substitution (v <= 2) and is its
+    oracle.  Both modes agree where both run, representatives included.
     """
     if mode == "exhaustive":
         if v > 2:
@@ -331,8 +316,6 @@ def classify(v: int, mode: str = "exhaustive") -> list[DependencyClass]:
         classes = []
         seen: dict[tuple, tuple[int, ...]] = {}
         for lam in _partitions(n):
-            if len(lam) > n:
-                continue
             g = []
             for value, part in enumerate(lam):
                 g.extend([value] * part)

@@ -18,8 +18,8 @@ from mmw.kripke import correspondence_check, type_table
 from mmw.lattice import (SystemCoord, cmm_from_coords, collapse, coverage,
                          dependency_rules_hold, enumerate_cmms)
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import (compute_orbits, expected_size, label_order, labels_of,
-                       orbit_closed_form)
+from mmw.orbit import (complete_orbits, compute_orbits, expected_size, label_order,
+                       labels_of, orbit_closed_form)
 from mmw.substitution import (apply_minmatrix, classify, compose,
                               critical_substitution, enumerate_primes)
 
@@ -155,12 +155,13 @@ def test_criterion_8_correspondence():
     for v in (1, 2, 3):
         ctx = context(v, 1)
         for c in enumerate_cmms(v):
-            want = type_table(c.matrix)
+            want = type_table(c.orbits, ctx.n)
             axioms = [alpha_for(c.coord, v)]
             if c.coord.plane == "K":
                 axioms.append(alpha_prime_K(c.coord.x, c.coord.y, v))
             for a in axioms:
-                assert type_table(normalize(a, ctx)) == want, (str(c.coord), v)
+                assert type_table(complete_orbits(normalize(a, ctx)), ctx.n) == want, \
+                    (str(c.coord), v)
                 tables += 1
     checked = 0
     for v in (1, 2):

@@ -8,6 +8,7 @@ import pytest
 import mmw
 from mmw.cli import main
 from mmw.lattice import enumerate_cmms
+from mmw.substitution import classify
 
 
 def run(capsys, *argv):
@@ -134,10 +135,17 @@ def test_classify_command(capsys):
     doc = json.loads(out)
     assert code == 0
     assert [c["size"] for c in doc] == [4, 24, 36, 48, 144]
-    code, out2, _ = run(capsys, "classify", "--v", "2", "--mode", "reduced")
-    doc2 = json.loads(out2)
-    assert [c["size"] for c in doc2] == [4, 24, 36, 48, 144]
-    assert [c["key_digest"] for c in doc] == [c["key_digest"] for c in doc2]
+    # the reduced mode it runs gives the exhaustive mode's classes, in the
+    # same order and with the same representatives
+    for v in (0, 1, 2):
+        reduced, exhaustive = classify(v, "reduced"), classify(v, "exhaustive")
+        assert [(c.size, c.key, c.representative) for c in reduced] == \
+            [(c.size, c.key, c.representative) for c in exhaustive]
+
+
+def test_classify_negative_v_exits_cleanly(capsys):
+    code, out, err = run(capsys, "classify", "--v", "-1")
+    assert (code, out, err) == (1, "", "error: v and d must be non-negative\n")
 
 
 def test_classify_v3_reduced(capsys):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import random_substitution
+from test_substitution import mask_coverage_key
 
 from mmw.kripke import correspondence_check
 from mmw.lattice import enumerate_cmms
@@ -59,16 +60,19 @@ def _fiber_partition(s) -> tuple[int, ...]:
 
 def test_k41_dependency_classes():
     # the 231 partitions of 16 give 231 distinct coverage keys whose class
-    # sizes count all 16**16 substitutions; no exhaustive check reaches
-    # K[4,1], so seeded random maps must get their partition's key
+    # sizes count all 16**16 substitutions; the keys are counted from fiber
+    # sizes, so each partition's map and 20 seeded maps are checked against
+    # the key read off the masks of their orbit images
     classes = classify(4, "reduced")
     assert len(classes) == len({c.key for c in classes}) == 231
     assert sum(c.size for c in classes) == 16 ** 16
     key_of = {_fiber_partition(c.representative): c.key for c in classes}
+    for c in classes:
+        assert c.key == mask_coverage_key(c.representative)
     rng = random.Random(41)
     for _ in range(20):
         s = random_substitution(rng, 4)
-        assert coverage_key(s) == key_of[_fiber_partition(s)]
+        assert coverage_key(s) == key_of[_fiber_partition(s)] == mask_coverage_key(s)
 
 
 def test_correspondence_sampled_four_worlds():

@@ -13,7 +13,7 @@ from mmw.kripke import (Frame, FrameCondition, Model, correspondence_check,
                         iter_frames, type_table, valid_on_frame)
 from mmw.lattice import STAR, SystemCoord, enumerate_cmms, map_to_star
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import orbit_union
+from mmw.orbit import complete_orbits, orbit_union
 
 REFL = Frame((1,))            # single reflexive world
 BLIND = Frame((0,))           # single blind world
@@ -91,7 +91,7 @@ def test_type_table_matches_per_minterm_oracle():
         for keep in range(1 << (2 * ctx.n)):
             base = orbit_union(ctx, keep).bits
             for bits in [base] + [base ^ (1 << i) for i in range(ctx.universe_size)]:
-                assert type_table(Minmatrix(ctx, bits)) == \
+                assert type_table(complete_orbits(Minmatrix(ctx, bits)), ctx.n) == \
                     _type_table_by_minterms(bits, v), (v, bits)
     rng = random.Random(3000)
     ctx = context(3, 1)
@@ -102,7 +102,8 @@ def test_type_table_matches_per_minterm_oracle():
             bits = orbit_union(ctx, rng.getrandbits(2 * ctx.n)).bits
             if case % 10 > 3:
                 bits ^= 1 << rng.randrange(ctx.universe_size)
-        assert type_table(Minmatrix(ctx, bits)) == _type_table_by_minterms(bits, 3)
+        assert type_table(complete_orbits(Minmatrix(ctx, bits)), ctx.n) == \
+            _type_table_by_minterms(bits, 3)
 
 
 def test_type_table_matches_frame_condition():
@@ -112,7 +113,7 @@ def test_type_table_matches_frame_condition():
     for v in (1, 2):
         n = 1 << v
         for c in enumerate_cmms(v):
-            ok = type_table(c.matrix)
+            ok = type_table(c.orbits, n)
             star = map_to_star(c.coord, v)
             cond = FrameCondition(star.plane, star.x, star.y)
             for loop in (0, 1):

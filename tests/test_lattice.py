@@ -15,11 +15,10 @@ from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hass
                          cmm_from_coords, collapse, coord_of, coverage,
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
-from mmw.orbit import (label_order, labels_of, orbit_labels, orbit_map, orbit_masks,
-                       orbit_union)
+from mmw.orbit import (coord_orbits, images_under, label_order, labels_of, orbit_labels,
+                       orbit_map, orbit_masks, orbit_union, source_orbits)
 from mmw.substitution import (Substitution, all_substitutions,
-                              critical_substitution, enumerate_primes,
-                              orbit_images)
+                              critical_substitution, enumerate_primes)
 
 K11 = context(1, 1)
 
@@ -155,7 +154,7 @@ def test_collapse_matches_orbit_space_loop(rng):
     # or added and plain random minmatrices
     for v in (0, 1, 2, 3):
         ctx = context(v, 1)
-        images = orbit_images(ctx, critical_substitution(v)) if v else None
+        images = images_under(ctx, critical_substitution(v).index_map()) if v else None
         for _, m in orbit_sums(v):
             assert collapse(m) == orbit_space_collapse(m, images)
         size = ctx.universe_size
@@ -173,14 +172,45 @@ def test_collapse_matches_orbit_space_loop(rng):
             assert collapse(m) == orbit_space_collapse(m, images)
 
 
+def reference_cover_patterns(v):
+    """The cover patterns from the masks of the critical images (the oracle)."""
+    ctx = context(v, 1)
+    masks = orbit_masks(ctx)
+    if v == 0:
+        full = (1 << len(masks)) - 1
+        return full, full, full, full
+    images = images_under(ctx, critical_substitution(v).index_map())
+    for i, image in enumerate(images):
+        window = 0
+        for mask in masks[i:i + 3]:
+            window |= mask
+        assert not image & ~window, (v, i)
+    patterns = [0, 0, 0, 0]
+    for j, mask in enumerate(masks):
+        for p in range(4):
+            cover = images[j]
+            if p & 1 and j >= 2:
+                cover |= images[j - 2]
+            if p & 2 and j >= 1:
+                cover |= images[j - 1]
+            if mask & cover == mask:
+                patterns[p] |= 1 << j
+    return tuple(patterns)
+
+
+def test_cover_patterns_match_mask_patterns():
+    for v in range(5):
+        assert mmw.lattice._cover_patterns(v) == reference_cover_patterns(v), v
+
+
 def test_cover_patterns_reject_an_image_beyond_the_window(monkeypatch):
     # the patterns read only orbits j-2 and j-1, so an image that reaches
     # three orbits further is a broken premise, not a census result
-    def wide(ctx, s):
-        images = orbit_images(ctx, s)
-        images[0] |= orbit_masks(ctx)[3]
-        return images
-    monkeypatch.setattr(mmw.lattice, "orbit_images", wide)
+    def wide(g):
+        sources = source_orbits(g)
+        sources[3] |= 1          # the image of orbit 0 meets orbit 3
+        return sources
+    monkeypatch.setattr(mmw.lattice, "source_orbits", wide)
     with pytest.raises(InternalConsistencyError):
         mmw.lattice._cover_patterns.__wrapped__(2)
 
@@ -280,6 +310,18 @@ def test_k41_census():
     for c in cmms:
         assert dependency_rules_hold(labels_of(c.orbits, 16), 16)
         assert collapse(c.matrix) == c.matrix
+
+
+def test_census_past_the_universe_cap():
+    # K[5,1] and K[6,1] are over the default cap, but the walk needs only
+    # the 2n orbit positions: exactly the n(n+3) coordinate sets survive
+    for v in (5, 6):
+        n = 1 << v
+        want = {coord_orbits(plane, x, y) for plane in ("K", "D")
+                for y in range(-1, n) for x in range(min(y + 1, n - 1) + 1)}
+        survivors = surviving_orbit_sums(v)
+        assert len(survivors) == len(want) == n * (n + 3)
+        assert set(survivors) == want
 
 
 def test_union_of_cmms_is_cmm():

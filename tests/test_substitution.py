@@ -9,12 +9,12 @@ from conftest import random_formula, random_minmatrix, random_substitution
 from mmw.context import DegreeError, context
 from mmw.formula import Diamond, Const0, parse
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import orbit_masks, orbit_position
+from mmw.orbit import images_under, orbit_masks, orbit_position
 from mmw.substitution import (Substitution, all_substitutions,
                               apply_formula, apply_minmatrix, apply_minterm,
                               classify, compose, coverage_key,
                               critical_substitution, enumerate_primes, identity,
-                              _source_map, is_prime, orbit_images,
+                              _partitions, _source_map, is_prime,
                               prime_permutations)
 
 K11 = context(1, 1)
@@ -191,13 +191,35 @@ def test_orbit_images_match_mask_walk(rng):
     for ctx, s, images in engine_cases(rng):
         if ctx.d == 1:
             expected = [reference_apply(mask, images) for mask in orbit_masks(ctx)]
-            assert orbit_images(ctx, s) == expected
+            assert images_under(ctx, s.index_map()) == expected
             assert reference_orbit_images(ctx, s) == expected
     # K[4,1] is out of the mask walk's reach: the critical substitution
     # and three seeded maps against the e-value loop
     ctx = context(4, 1)
     for s in [critical_substitution(4)] + [random_substitution(rng, 4) for _ in range(3)]:
-        assert orbit_images(ctx, s) == reference_orbit_images(ctx, s)
+        assert images_under(ctx, s.index_map()) == reference_orbit_images(ctx, s)
+
+
+def mask_coverage_key(s):
+    """The coverage key from the masks of the orbit images (the test oracle)."""
+    ctx = context(s.v, 1)
+    masks = orbit_masks(ctx)
+    return tuple(tuple(0 if not image & mask else 2 if image & mask == mask else 1
+                       for mask in masks)
+                 for image in images_under(ctx, s.index_map()))
+
+
+def test_coverage_key_matches_mask_key(rng):
+    # the key counted from fibre sizes: every map at v <= 2, and at v = 3
+    # each fibre partition's block map and a seeded shuffle of it
+    for v in (0, 1, 2):
+        for s in all_substitutions(v):
+            assert coverage_key(s) == mask_coverage_key(s), s.index_map()
+    for lam in _partitions(8):
+        g = [t for t, size in enumerate(lam) for _ in range(size)]
+        for h in (g, rng.sample(g, len(g))):
+            s = Substitution.from_index_map(3, tuple(h))
+            assert coverage_key(s) == mask_coverage_key(s), h
 
 
 def test_apply_minterm_degree_guard():
