@@ -105,8 +105,17 @@ def cmd_lattice(args) -> int:
     if args.format == "dot":
         print(_lattice_dot(args.v))
         return 0
+    cmms = enumerate_cmms(args.v)
+    if args.format == "json":
+        # the JSON lists every CMM's minterms: refuse before building them
+        from .context import CapExceededError, universe_cap
+        size, cap = cmms[0].ctx.universe_size, universe_cap()
+        if len(cmms) * size > cap:
+            raise CapExceededError(
+                f"lattice --format json lists the minterms of {len(cmms)} CMMs "
+                f"of {size} minterms each, over the cap {cap}")
     out = []
-    for c in enumerate_cmms(args.v):
+    for c in cmms:
         star = map_to_star(c.coord, args.v)
         name = _registry_name(star)
         labels = sorted(labels_of(c.orbits, c.ctx.n), key=_label_key)

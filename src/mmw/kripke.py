@@ -32,7 +32,7 @@ from itertools import product
 
 from . import formula as fm
 from ._record import Record
-from .context import CapExceededError, context
+from .context import context
 from .lattice import STAR, SystemCoord, cmm_from_coords, map_to_star
 from .minmatrix import normalize
 from .orbit import complete_orbits, coord_orbits
@@ -286,17 +286,16 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     valuation in lexicographic order, so the witness is deterministic.
     For degree <= 1 the frames that ``type_table`` shows valid are
     skipped, and valuations are enumerated only on the first frame that
-    is not.
+    is not; such a formula needs K[v,1] under the cap
+    (``CapExceededError`` otherwise).
     """
     if v is None:
         v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap
     table = None
     if fm.modal_degree(f) <= 1:
-        try:
-            table = type_table(complete_orbits(normalize(f, context(v, 1))), n)
-        except CapExceededError:
-            pass            # K[v,1] too large: evaluate every valuation
+        # refuses a K[v,1] over the cap rather than walk n**|W| valuations
+        table = type_table(complete_orbits(normalize(f, context(v, 1))), n)
     for size in range(1, max_worlds + 1):
         for fr in iter_frames(size):
             if table is not None and _valid_by_types(fr, table, n):

@@ -20,7 +20,7 @@ from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
 from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
-                    orbit_union, source_orbits)
+                    orbit_masks, orbit_union, source_orbits)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
                            critical_substitution)
 
@@ -91,9 +91,14 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
     With ``subs=None`` the default set (primes plus one critical
     substitution) is used in orbit space: closure under the whole prime
     group keeps exactly the complete prime orbits inside xi, and the image
-    of a union of orbits is the union of their images, so each round keeps
-    the orbits that the critical images of the kept orbits cover.  Those
-    rounds run on the 2n-bit set of kept orbits (``_cover_patterns``).
+    of a union of orbits is the union of their images, so the fixpoint
+    keeps the complete orbits that the critical images of the kept orbits
+    cover.  Whether orbit j is covered depends only on whether orbits j-2
+    and j-1 are kept (``_cover_patterns``), so one ascending pass over the
+    2n orbit positions decides each orbit once: first its cover, then, only
+    if covered, its completeness in xi.  The pass stops once orbits j-2
+    and j-1 are both out and no orbit from j up is covered without kept
+    predecessors, so its cost grows with what survives.
     """
     if subs is None:
         return _collapse_default(m)
@@ -113,27 +118,26 @@ def _collapse_default(m: Minmatrix) -> Minmatrix:
     if ctx.d == 0:
         # One orbit: anything short of [1] collapses to [0].
         return m if m.is_theorem_K() else Minmatrix.empty(ctx)
-    return orbit_union(ctx, _kept_fixpoint(complete_orbits(m), _cover_patterns(ctx.v)))
+    patterns = _cover_patterns(ctx.v)
+    alone = patterns[0]
+    missing, keep, bits = ctx.full ^ m.bits, 0, 0
+    for j, mask in enumerate(orbit_masks(ctx)):
+        if not keep << 2 >> j & 3 and not alone >> j:
+            break           # orbits j-2 and j-1 are out: none from j up is covered
+        if _covers(keep, j, patterns) and not missing & mask:
+            keep |= 1 << j
+            bits |= mask
+    return Minmatrix(ctx, bits)
 
 
-def _covered(keep: int, patterns: tuple[int, int, int, int]) -> int:
-    """The orbits that the critical images of the orbits in ``keep`` cover.
+def _covers(keep: int, j: int, patterns: tuple[int, int, int, int]) -> int:
+    """Whether the critical images of the orbits in ``keep`` cover orbit j.
 
-    Bit j is read from the pattern of orbits j-2 and j-1 in ``keep``; it
-    decides orbit j only when orbit j is itself in ``keep``.
+    Only orbits j-2 and j-1 of ``keep`` are read: their pattern indexes
+    ``patterns`` (``_cover_patterns``), so orbit j is decided as soon as
+    the orbits below it are.
     """
-    alone, after2, after1, after12 = patterns
-    a, b = keep << 2, keep << 1        # bit j: orbit j-2, orbit j-1 kept
-    return alone | after2 & a | after1 & b | after12 & a & b
-
-
-def _kept_fixpoint(keep: int, patterns: tuple[int, int, int, int]) -> int:
-    """Drop the kept orbits left uncovered until every kept orbit is covered."""
-    while True:
-        kept = keep & _covered(keep, patterns)
-        if kept == keep:
-            return keep
-        keep = kept
+    return patterns[keep << 2 >> j & 3] >> j & 1
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +249,12 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
     size, then in ``itertools.combinations`` order of their positions.
 
     With the default set an orbit sum is a fixpoint iff each of its orbits
-    is covered for the pattern of its two predecessors (``_covered``), so
-    a depth-first walk in label order decides orbit j as soon as it is
-    added and reaches only survivors.  With explicit ``subs`` each of the
-    2**(2n) sums is tested: m is a fixpoint iff no substitution shrinks
-    it, m & (m o sigma) == m for every sigma, so the test stops at the
-    first sigma that does.
+    is covered for the pattern of its two predecessors (``_covers``, the
+    rule the default ``collapse`` pass applies), so a depth-first walk in
+    label order decides orbit j as soon as it is added and reaches only
+    survivors.  With explicit ``subs`` each of the 2**(2n) sums is tested:
+    m is a fixpoint iff no substitution shrinks it, m & (m o sigma) == m
+    for every sigma, so the test stops at the first sigma that does.
     """
     found = []
     if subs is None:
@@ -263,7 +267,7 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
                 found.append(keep)
                 continue
             stack.append((j + 1, keep))
-            if _covered(keep, patterns) >> j & 1:
+            if _covers(keep, j, patterns):
                 stack.append((j + 1, keep | 1 << j))
     else:
         ctx = context(v, 1)

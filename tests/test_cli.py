@@ -95,6 +95,20 @@ def test_lattice_labels_in_index_order(capsys):
     assert all(entry["orbits"] == sorted(entry["orbits"]) for entry in json.loads(out))
 
 
+def test_lattice_json_refused_over_cap(monkeypatch, capsys):
+    # 304 K[4,1] CMMs of 2**20 minterms each would be ~3 * 10**8 listed
+    # ints; the command refuses before any CMM's matrix is built
+    from mmw.lattice import CMM
+
+    def built(self):
+        raise AssertionError("a CMM matrix was built")
+    monkeypatch.setattr(CMM, "matrix", property(built))
+    code, out, err = run(capsys, "lattice", "--format", "json", "--v", "4")
+    assert code == 1 and out == ""
+    assert err == ("error: lattice --format json lists the minterms of 304 CMMs "
+                   "of 1048576 minterms each, over the cap 2097152\n")
+
+
 def test_lattice_dot(capsys):
     code, out, _ = run(capsys, "lattice", "--format", "dot", "--v", "1")
     assert code == 0
@@ -185,6 +199,18 @@ def test_countermodel_command(capsys):
                    "valuation_minterms": [0], "world": 0}
     code, out, _ = run(capsys, "countermodel", "p->p")
     assert code == 0 and "no countermodel" in out
+
+
+def test_countermodel_over_the_k_v1_cap(capsys):
+    # a degree <= 1 formula needs its K[v,1] for the type table; without
+    # it the search would walk 512 frames of 32**3 valuations (v = 5)
+    for formula in ("p4->p4", "p4"):
+        code, out, err = run(capsys, "countermodel", formula)
+        assert code == 1 and out == ""
+        assert err == "error: K[5,1] needs 2^37 minterms, over the cap 2097152\n"
+    # degree 2 has no type table and keeps the direct walk
+    code, out, _ = run(capsys, "countermodel", "[][]p4", "--max-worlds", "1")
+    assert code == 0 and out.startswith("falsified at world 0 of 1")
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -6,10 +6,13 @@ from itertools import product
 import pytest
 
 from conftest import random_substitution
+from test_lattice import round_loop_collapse
 from test_substitution import mask_coverage_key
 
+from mmw.context import context
 from mmw.kripke import correspondence_check
-from mmw.lattice import enumerate_cmms
+from mmw.lattice import collapse, enumerate_cmms
+from mmw.orbit import orbit_union
 from mmw.substitution import classify, coverage_key
 
 pytestmark = pytest.mark.extended
@@ -81,3 +84,12 @@ def test_correspondence_sampled_four_worlds():
             rep = correspondence_check(v, c.coord, max_worlds=4,
                                        sample=400, seed=13)
             assert rep.ok, (str(c.coord), rep.violations[:2])
+
+
+def test_collapse_pass_matches_round_loop_on_every_v3_orbit_sum():
+    # all 2**16 orbit sums of K[3,1]: the ascending pass against the
+    # rounds on the kept-orbit bitmask
+    ctx = context(3, 1)
+    for keep in range(1 << 2 * ctx.n):
+        m = orbit_union(ctx, keep)
+        assert collapse(m) == round_loop_collapse(m), keep

@@ -15,8 +15,9 @@ from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hass
                          cmm_from_coords, collapse, coord_of, coverage,
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
-from mmw.orbit import (coord_orbits, images_under, label_order, labels_of, orbit_labels,
-                       orbit_map, orbit_masks, orbit_union, source_orbits)
+from mmw.orbit import (complete_orbits, coord_orbits, images_under, label_order,
+                       labels_of, orbit_labels, orbit_map, orbit_masks, orbit_union,
+                       source_orbits)
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes)
 
@@ -170,6 +171,78 @@ def test_collapse_matches_orbit_space_loop(rng):
                 bits = rng.getrandbits(size)
             m = Minmatrix(ctx, bits)
             assert collapse(m) == orbit_space_collapse(m, images)
+
+
+def reference_covered(keep, patterns):
+    """The orbits that the critical images of the orbits in ``keep`` cover.
+
+    Bit j is read from the pattern of orbits j-2 and j-1 in ``keep``; it
+    decides orbit j only when orbit j is itself in ``keep``.
+    """
+    alone, after2, after1, after12 = patterns
+    a, b = keep << 2, keep << 1        # bit j: orbit j-2, orbit j-1 kept
+    return alone | after2 & a | after1 & b | after12 & a & b
+
+
+def round_loop_collapse(m):
+    """The default collapse as rounds on the kept-orbit bitmask (the oracle).
+
+    It starts from all complete orbits and drops the kept orbits left
+    uncovered until every kept orbit is covered.
+    """
+    patterns = mmw.lattice._cover_patterns(m.ctx.v)
+    keep = complete_orbits(m)
+    while True:
+        kept = keep & reference_covered(keep, patterns)
+        if kept == keep:
+            return orbit_union(m.ctx, keep)
+        keep = kept
+
+
+def test_collapse_pass_matches_round_loop_small():
+    for v in (0, 1, 2):
+        for _, m in orbit_sums(v):
+            assert collapse(m) == round_loop_collapse(m)
+
+
+def test_collapse_pass_matches_round_loop_v3(rng):
+    # seeded orbit sums, each as it is and with one minterm flipped
+    ctx = context(3, 1)
+    for _ in range(2000):
+        m = orbit_union(ctx, rng.getrandbits(2 * ctx.n))
+        flipped = Minmatrix(ctx, m.bits ^ 1 << rng.randrange(ctx.universe_size))
+        assert collapse(m) == round_loop_collapse(m)
+        assert collapse(flipped) == round_loop_collapse(flipped)
+
+
+def test_collapse_pass_matches_round_loop_v4(rng):
+    # the 304 CMMs, where the pass drops nothing, and seeded orbit sums
+    for c in enumerate_cmms(4):
+        assert collapse(c.matrix) == round_loop_collapse(c.matrix) == c.matrix
+    ctx = context(4, 1)
+    for _ in range(50):
+        m = orbit_union(ctx, rng.getrandbits(2 * ctx.n))
+        assert collapse(m) == round_loop_collapse(m)
+
+
+def test_collapse_pass_stops_after_the_kept_orbits(monkeypatch):
+    # the pass reads the mask of orbit j, then stops when orbits j-2 and
+    # j-1 are out and no orbit from j up is covered alone (from Dc1 up)
+    ctx = context(4, 1)
+    masks = orbit_masks(ctx)
+    read = [0]
+
+    def counted(c):
+        for mask in masks:
+            read[0] += 1
+            yield mask
+    monkeypatch.setattr(mmw.lattice, "orbit_masks", counted)
+    # F (stop at Dc1); Vv0+Dd0 (at Dc2); Vv0+Dd0+Dw1 (at Dc3); every orbit
+    for keep, want in ((0, 3), (0b11, 5), (0b1011, 7), ((1 << 32) - 1, 32)):
+        read[0] = 0
+        m = orbit_union(ctx, keep)
+        assert collapse(m) == m
+        assert read[0] == want, keep
 
 
 def reference_cover_patterns(v):
