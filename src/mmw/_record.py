@@ -9,8 +9,7 @@ class Record:
     A subclass sets its fields in its own ``__init__`` with
     ``object.__setattr__``.  Instances are equal only to instances of the
     same class with equal fields, hash as the tuple of their fields and
-    print as ``Name(field=value, ...)``.  Classes on hot paths override
-    ``__eq__`` and ``__hash__`` with the same rule spelled out per field.
+    print as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()

@@ -22,7 +22,7 @@ from .context import context, enumerate_E, level0_minterm
 from .lattice import (STAR, InternalConsistencyError, SystemCoord,
                       cmm_from_coords, collapse, coord_of, map_to_star)
 from .minmatrix import Minmatrix, normalize
-from .orbit import orbit_labels
+from .orbit import complete_orbits, labels_of
 
 __all__ = [
     "alpha_K", "alpha_D", "alpha_prime_K", "alpha_for", "system_of",
@@ -102,11 +102,11 @@ def system_of(f: fm.Formula) -> tuple[SystemCoord, int]:
         raise ValueError("system decision requires modal degree <= 1")
     v = max(fm.variables(f), 1)
     ctx = context(v, 1)
-    fixpoint = collapse(normalize(f, ctx))
-    coord = coord_of(fixpoint)
+    keep = complete_orbits(collapse(normalize(f, ctx)))
+    coord = coord_of(keep, ctx.n)
     if coord is None:
         raise InternalConsistencyError(
-            f"collapse fixpoint (complete orbits {orbit_labels(fixpoint)}) "
+            f"collapse fixpoint (complete orbits {labels_of(keep, ctx.n)}) "
             "is not a coordinate CMM")
     return map_to_star(coord, v), v
 

@@ -47,14 +47,15 @@ def cmd_collapse(args) -> int:
     from .formula import parse
     from .lattice import collapse, coord_of
     from .minmatrix import normalize
-    from .orbit import display_label, orbit_labels
+    from .orbit import complete_orbits, display_label, labels_of
     from .substitution import all_substitutions
     ctx = context(args.v, 1)
     m = normalize(parse(args.formula), ctx)
     subs = all_substitutions(args.v) if args.exhaustive else None
     result = collapse(m, subs)
-    coord = coord_of(result)
-    labels = orbit_labels(result)
+    keep = complete_orbits(result)
+    coord = coord_of(keep, ctx.n)
+    labels = labels_of(keep, ctx.n)
     if args.format == "json":
         import json
         doc = result.to_json()
@@ -162,12 +163,12 @@ def cmd_axiom(args) -> int:
     from .formula import render
     from .lattice import SystemCoord, collapse
     from .minmatrix import normalize
-    from .orbit import display_label, orbit_labels
+    from .orbit import complete_orbits, display_label, labels_of
     coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
     axiom = alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
     cmm = collapse(normalize(axiom, ctx))
-    labels = orbit_labels(cmm)
+    labels = labels_of(complete_orbits(cmm), ctx.n)
     if args.format == "json":
         import json
         doc = {"coord": str(coord), "axiom": render(axiom),

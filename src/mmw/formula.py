@@ -38,28 +38,12 @@ class Formula(Record):
         return Not(self)
 
 
-# Nodes are compared and hashed in bulk (memo tables, equality of whole
-# trees), so each class spells out __eq__ and __hash__ in place of
-# Record's loop over the fields.  Classes of one shape do not share them:
-# the interpreter specializes an attribute read in a function for one
-# class, and a function shared by several classes reads unspecialized.
-
 class Const0(Formula):
     __slots__ = ()
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
 
 
 class Const1(Formula):
     __slots__ = ()
-    __eq__ = Const0.__eq__
-    __hash__ = Const0.__hash__
 
 
 class Var(Formula):
@@ -68,28 +52,12 @@ class Var(Formula):
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
-
 
 class Not(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
         object.__setattr__(self, "child", child)
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.child,))
 
 
 class And(Formula):
@@ -99,78 +67,30 @@ class And(Formula):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
 
 class Or(Formula):
     __slots__ = ("left", "right")
     __init__ = And.__init__
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class Implies(Formula):
     __slots__ = ("left", "right")
     __init__ = And.__init__
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
 
 class Iff(Formula):
     __slots__ = ("left", "right")
     __init__ = And.__init__
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
 
 
 class Box(Formula):
     __slots__ = ("child",)
     __init__ = Not.__init__
 
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.child,))
-
 
 class Diamond(Formula):
     __slots__ = ("child",)
     __init__ = Not.__init__
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.child,) == (other.child,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.child,))
 
 
 def modal_degree(f: Formula) -> int:

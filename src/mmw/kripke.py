@@ -253,7 +253,12 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     Checks every labeled digraph up to ``max_worlds`` worlds (or a random
     sample per size when ``sample`` is given): the coordinate's axiom is
     valid on the frame iff the star-mapped condition holds at all worlds.
+    A bound below 1 would check no frame, so it is refused.
     """
+    if max_worlds < 1:
+        raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, not {sample}")
     table = type_table(cmm_from_coords(coord, v).orbits, 1 << v)
     star = map_to_star(coord, v)
     cond = FrameCondition(star.plane, star.x, star.y)
@@ -287,8 +292,10 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     For degree <= 1 the frames that ``type_table`` shows valid are
     skipped, and valuations are enumerated only on the first frame that
     is not; such a formula needs K[v,1] under the cap
-    (``CapExceededError`` otherwise).
+    (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is refused.
     """
+    if max_worlds < 1:
+        raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     if v is None:
         v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap

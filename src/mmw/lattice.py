@@ -19,8 +19,8 @@ from functools import lru_cache
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
-                    orbit_masks, orbit_union, source_orbits)
+from .orbit import (coord_orbits, label_order, labels_of, orbit_masks,
+                    orbit_union, source_orbits)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
                            critical_substitution)
 
@@ -173,17 +173,13 @@ def cmm_from_coords(coord: SystemCoord, v: int) -> CMM:
     return CMM(ctx, coord, coord_orbits(coord.plane, *coord.resolve(ctx.n)))
 
 
-def coord_of(m: Minmatrix) -> SystemCoord | None:
-    """The context coordinate whose CMM is ``m``, or None if there is none.
+def coord_of(keep: int, n: int) -> SystemCoord | None:
+    """The coordinate of K[v,1] (n = 2**v) whose orbit set is ``keep``, or None.
 
-    There is one exactly when ``m`` is a union of complete prime orbits
-    that pass DR1-DR3: x counts its Dc orbits, y its Dd0 and Dw orbits
+    There is one exactly when the orbits pass DR1-DR3: the plane is K iff
+    Vv0 is in ``keep``, x counts its Dc orbits, y its Dd0 and Dw orbits
     less one, and ``coord_orbits`` must rebuild the same set.
     """
-    ctx, n = m.ctx, m.ctx.n
-    keep = complete_orbits(m)
-    if orbit_union(ctx, keep) != m:
-        return None
     plane = "K" if keep & coord_orbits("K", 0, -1) else "D"
     x = (keep & coord_orbits("D", n - 1, -1)).bit_count()
     y = (keep & coord_orbits("D", 0, n - 1)).bit_count() - 1
@@ -320,10 +316,10 @@ class HasseDiagram(Record):
         raise KeyError(str(coord))
 
     def _with_orbits(self, keep: int, what: str) -> CMM:
-        for c in self.nodes:
-            if c.orbits == keep:
-                return c
-        raise InternalConsistencyError(f"{what} is not a coordinate CMM")
+        coord = coord_of(keep, self.nodes[0].ctx.n)
+        if coord is None:
+            raise InternalConsistencyError(f"{what} is not a coordinate CMM")
+        return self._get(coord)
 
 
 def build_hasse(v: int) -> HasseDiagram:

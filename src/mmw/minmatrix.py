@@ -35,16 +35,6 @@ class Minmatrix(Record):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "bits", bits)
 
-    # Compared in bulk (collapse fixpoints, the survival pass), so Record's
-    # loop over the fields is spelled out here.
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return (self.ctx, self.bits) == (other.ctx, other.bits)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.bits))
-
     # -- construction ------------------------------------------------------
 
     @staticmethod

@@ -30,9 +30,9 @@ from .minmatrix import Minmatrix
 
 __all__ = [
     "PrimeOrbit", "orbit_of", "label_order", "compute_orbits",
-    "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_labels",
-    "orbit_position", "display_label", "complete_orbits", "orbit_union",
-    "images_under", "source_orbits", "coord_orbits", "labels_of",
+    "orbit_closed_form", "orbit_masks", "orbit_map", "orbit_position",
+    "display_label", "complete_orbits", "orbit_union", "images_under",
+    "source_orbits", "coord_orbits", "labels_of",
 ]
 
 
@@ -248,11 +248,6 @@ def orbit_union(ctx: Context, keep: int) -> Minmatrix:
 def labels_of(keep: int, n: int) -> list[str]:
     """Labels of the orbits in the set ``keep`` of K[v,1] (n = 2**v), in label order."""
     return [lbl for k, lbl in enumerate(label_order(n)) if keep >> k & 1]
-
-
-def orbit_labels(m: Minmatrix) -> list[str]:
-    """Labels of the prime orbits wholly inside ``m``, in label order."""
-    return labels_of(complete_orbits(m), m.ctx.n)
 
 
 def expected_size(label: str, n: int) -> int:

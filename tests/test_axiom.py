@@ -10,7 +10,7 @@ from mmw.formula import parse, rename_vars, variables
 from mmw.lattice import (STAR, SystemCoord, cmm_from_coords, collapse,
                          enumerate_cmms, map_to_star)
 from mmw.minmatrix import normalize
-from mmw.orbit import orbit_labels
+from mmw.orbit import complete_orbits, labels_of
 
 K11 = context(1, 1)
 
@@ -130,7 +130,7 @@ def largest_coordinate_inside(m, v):
     nor the critical substitution.
     """
     n = 1 << v
-    whole = set(orbit_labels(m))
+    whole = set(labels_of(complete_orbits(m), n))
     inside = []
     for plane in ("K", "D"):
         for y in range(-1, n):

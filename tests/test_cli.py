@@ -213,6 +213,25 @@ def test_countermodel_over_the_k_v1_cap(capsys):
     assert code == 0 and out.startswith("falsified at world 0 of 1")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["countermodel", "p", "--max-worlds", "-2"],
+     "error: max_worlds must be at least 1, not -2\n"),
+    (["countermodel", "p", "--max-worlds", "0"],
+     "error: max_worlds must be at least 1, not 0\n"),
+    (["frames", "--correspondence", "--v", "1", "--all-coords", "--max-worlds", "-1"],
+     "error: max_worlds must be at least 1, not -1\n"),
+    (["frames", "--correspondence", "--v", "1", "--all-coords", "--sample", "0"],
+     "error: sample must be at least 1, not 0\n"),
+    (["frames", "--correspondence", "--v", "1", "--all-coords", "--sample", "-3",
+      "--max-worlds", "4"],
+     "error: sample must be at least 1, not -3\n"),
+], ids=["countermodel-negative", "countermodel-zero", "frames-worlds",
+        "frames-sample-zero", "frames-sample-negative"])
+def test_vacuous_bounds_exit_1(capsys, argv, err):
+    # a bound below 1 checks no frame, so it is refused before any output
+    assert run(capsys, *argv) == (1, "", err)
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     from mmw.lattice import InternalConsistencyError
     import mmw.cli as cli

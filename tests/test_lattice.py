@@ -16,8 +16,7 @@ from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hass
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
 from mmw.orbit import (complete_orbits, coord_orbits, images_under, label_order,
-                       labels_of, orbit_labels, orbit_map, orbit_masks, orbit_union,
-                       source_orbits)
+                       labels_of, orbit_map, orbit_masks, orbit_union, source_orbits)
 from mmw.substitution import (Substitution, all_substitutions,
                               critical_substitution, enumerate_primes)
 
@@ -428,19 +427,19 @@ def test_dependency_rules_characterize_cmms():
 def test_coord_of_inverts_cmm_from_coords():
     for v in (1, 2, 3, 4):
         for c in enumerate_cmms(v):
-            assert coord_of(c.matrix) == c.coord
-            assert orbit_labels(c.matrix) == labels_of(c.orbits, 1 << v)
+            assert coord_of(c.orbits, 1 << v) == c.coord
+            assert complete_orbits(c.matrix) == c.orbits
 
 
 def test_coord_of_admits_exactly_the_dependency_rules():
-    # all 2**16 orbit sums of K[3,1]: coord_of counts x and y and rebuilds
+    # all 2**16 orbit sets of K[3,1]: coord_of counts x and y and rebuilds
     # the set, dependency_rules_hold reads the labels
-    ctx = context(3, 1)
+    n = 8
     admitted = 0
-    for keep in range(1 << 2 * ctx.n):
-        coord = coord_of(orbit_union(ctx, keep))
-        combo = labels_of(keep, ctx.n)
-        assert (coord is not None) == dependency_rules_hold(combo, ctx.n), combo
+    for keep in range(1 << 2 * n):
+        coord = coord_of(keep, n)
+        combo = labels_of(keep, n)
+        assert (coord is not None) == dependency_rules_hold(combo, n), combo
         admitted += coord is not None
     assert admitted == 88
 
@@ -456,20 +455,22 @@ def test_coord_of_admits_exactly_the_census(exhaustive_census):
                 m = Minmatrix.empty(ctx)
                 for k in combo:
                     m = m | orbits[labels[k]]
-                assert orbit_labels(m) == [labels[k] for k in combo]
-                keep = sum(1 << k for k in combo)
-                assert (coord_of(m) is not None) == (keep in survivors)
+                keep = complete_orbits(m)
+                assert keep == sum(1 << k for k in combo)
+                assert (coord_of(keep, ctx.n) is not None) == (keep in survivors)
 
 
 def test_coord_of_rejects_non_coordinates():
-    orbits = orbit_map(K11)
     # {Vv0, Dc1} fails DR3; as a coordinate it would be the invalid (1,-1)
-    assert coord_of(orbits["Vv0"] | orbits["Dc1"]) is None
-    # part of an orbit on top of a coordinate CMM
-    dd0 = orbits["Dd0"]
+    assert coord_of(coord_orbits("K", 1, -1), 2) is None
+    # an orbit past the 2n of K[1,1]
+    assert coord_of(coord_orbits("K", 1, 1) | 1 << 4, 2) is None
+    # part of an orbit on top of a coordinate CMM adds no complete orbit
+    dd0 = orbit_map(K11)["Dd0"]
     part = Minmatrix(K11, dd0.bits & -dd0.bits)
-    assert coord_of(cmm_from_coords(SystemCoord("K", 0, -1), 1).matrix | part) is None
-    assert orbit_labels(part) == []
+    ver = cmm_from_coords(SystemCoord("K", 0, -1), 1)
+    assert complete_orbits(ver.matrix | part) == ver.orbits
+    assert complete_orbits(part) == 0
 
 
 def test_coverage_identity_and_critical():

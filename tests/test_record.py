@@ -6,11 +6,13 @@ import pickle
 import pytest
 
 from mmw import formula as fm
-from mmw.axiom import AxiomVariant, ErratumVariant, NamedSystem
+from mmw.axiom import (AxiomVariant, ErratumVariant, NamedSystem, alpha_for,
+                       system_of, variant_collapse)
 from mmw.context import context
-from mmw.kripke import CorrespondenceReport, Frame, FrameCondition, Model
-from mmw.lattice import CMM, STAR, HasseDiagram, SystemCoord
-from mmw.minmatrix import Minmatrix
+from mmw.kripke import (CorrespondenceReport, Frame, FrameCondition, Model,
+                        correspondence_check, find_countermodel)
+from mmw.lattice import CMM, STAR, HasseDiagram, SystemCoord, cmm_from_coords, collapse
+from mmw.minmatrix import Minmatrix, normalize
 from mmw.orbit import PrimeOrbit
 from mmw.substitution import DependencyClass, Substitution
 
@@ -74,6 +76,7 @@ def test_record_semantics(name):
     a, b = make(), make()
     assert type(a).__name__ == name and a is not b
     assert a == b and not a != b and hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f) for f in fields))
     assert a != other and not a == other
     assert repr(a) == f"{name}(" + ", ".join(
         f"{f}={getattr(a, f)!r}" for f in fields) + ")"
@@ -114,3 +117,30 @@ def test_defaults_and_type_sensitive_equality():
 def test_constructor_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_pipeline_never_compares_or_hashes_formulas(monkeypatch):
+    # normalize interns a formula into integer keys, so no stage compares
+    # or hashes formula trees; a memo keyed on formulas would fail here
+    def refuse(*args):
+        raise AssertionError("a formula was compared or hashed")
+
+    for cls in (fm.Formula, fm.Const0, fm.Const1, fm.Var, fm.Not, fm.And, fm.Or,
+                fm.Implies, fm.Iff, fm.Box, fm.Diamond):
+        monkeypatch.setattr(cls, "__eq__", refuse)
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    assert system_of(fm.parse("[]p->p")) == (SystemCoord("D", 0, STAR), 1)
+    assert system_of(fm.parse("[](p->q)->([]p->[]q)")) == \
+        (SystemCoord("K", STAR, STAR), 2)
+    t = SystemCoord("D", 0, 1)
+    assert variant_collapse(AxiomVariant(1, "K", "[]p->p")) == \
+        cmm_from_coords(t, 1).matrix
+    kw = SystemCoord("K", 1, 2)
+    assert collapse(normalize(alpha_for(kw, 2), context(2, 1))) == \
+        cmm_from_coords(kw, 2).matrix
+    report = correspondence_check(1, t, 3)
+    assert report.ok and report.frames_checked == 2 + 16 + 512
+    frame, model, world = find_countermodel(fm.parse("[]p->p"))
+    assert (frame.rows, model.assignment, world) == ((0,), (0,), 0)
+    frame, model, world = find_countermodel(fm.parse("[]p->[][]p"))
+    assert (frame.rows, model.assignment, world) == ((2, 1), (0, 1), 0)
