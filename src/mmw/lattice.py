@@ -155,7 +155,7 @@ def _cover_patterns(v: int) -> tuple[int, int, int, int]:
     if v == 0:
         return 0b11, 0b11, 0b11, 0b11
     patterns = [0, 0, 0, 0]
-    for j, sources in enumerate(source_orbits(critical_substitution(v).index_map())):
+    for j, sources in enumerate(source_orbits(critical_substitution(v).g)):
         bit, before2, before1 = 1 << j, 1 << j >> 2, 1 << j >> 1
         if sources & ~(bit | before2 | before1):
             raise InternalConsistencyError(
@@ -302,12 +302,13 @@ class HasseDiagram(Record):
                                  f"union of {a} and {b}")
 
     def meet(self, a: SystemCoord, b: SystemCoord) -> CMM:
-        """Lattice meet: collapse of the intersection (equality at level 1)."""
-        ca, cb = self._get(a), self._get(b)
-        inter = ca.matrix & cb.matrix
-        if collapse(inter) != inter:
-            raise InternalConsistencyError("level-1 meet should not collapse")
-        return self._with_orbits(ca.orbits & cb.orbits, f"intersection of {a} and {b}")
+        """Lattice meet: the CMM whose matrix is the intersection.
+
+        A union of orbits is a collapse fixpoint exactly when its orbit set
+        is a coordinate set, so ``_with_orbits`` checks it does not collapse.
+        """
+        return self._with_orbits(self._get(a).orbits & self._get(b).orbits,
+                                 f"intersection of {a} and {b}")
 
     def _get(self, coord: SystemCoord) -> CMM:
         for c in self.nodes:

@@ -1,11 +1,11 @@
 """Level-0 uniform substitutions, their monoid, primes, and classification.
 
-A substitution is stored as ``v`` truth tables over the ``n = 2**v``
-level-0 minterms: ``tables[k]`` bit ``i`` is the truth of ``p_k`` after
-substitution, evaluated at ``m_i``.  Equivalently a substitution is the
-self-map ``g`` of ``[0, n)`` sending each level-0 minterm (as an
-assignment) to its image assignment; the two views convert losslessly,
-and there are ``n**n`` substitutions in all.
+A substitution is stored as its level-0 map: the self-map ``g`` of
+``[0, n)``, ``n = 2**v``, sending each level-0 minterm (as an assignment)
+to its image assignment.  There are ``n**n`` substitutions in all.  The
+paper's view, ``v`` truth tables with ``tables[k]`` bit ``i`` the truth
+of ``p_k`` after substitution at ``m_i``, is derived from ``g`` for
+output (``Substitution.tables``) and read back by ``from_tables``.
 
 Applying a substitution is read off its source map ``phi_s``.  At level
 1 a minterm ``t = (j, e)`` (section ``j``, factor states ``e``) lies in
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import factorial
-from operator import itemgetter
 
 from . import formula as fm
 from ._record import Record
@@ -43,48 +42,49 @@ from .orbit import source_orbits
 __all__ = [
     "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
     "apply_minmatrix", "is_prime", "enumerate_primes",
-    "prime_permutations", "critical_substitution", "all_substitutions",
+    "critical_substitution", "all_substitutions",
     "DependencyClass", "classify",
 ]
 
 
 class Substitution(Record):
-    __slots__ = ("v", "tables")
+    """A level-0 substitution as its map ``g`` of the level-0 minterms."""
 
-    def __init__(self, v: int, tables: tuple[int, ...]):
+    __slots__ = ("v", "g")
+
+    def __init__(self, v: int, g):
+        g = tuple(g)
+        n = 1 << v
+        if len(g) != n:
+            raise ValueError("need one image per level-0 minterm")
+        if min(g) < 0 or max(g) >= n:
+            raise ValueError("image out of range")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "g", g)
+
+    @staticmethod
+    def from_tables(v: int, tables) -> "Substitution":
+        """The substitution with sigma_k given by its truth table ``tables[k]``."""
         if len(tables) != v:
             raise ValueError("need one truth table per variable")
         limit = 1 << (1 << v)
         for t in tables:
             if not 0 <= t < limit:
                 raise ValueError("table out of range")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "tables", tables)
+        return Substitution(v, [sum((t >> i & 1) << (v - 1 - k)
+                                    for k, t in enumerate(tables))
+                                for i in range(1 << v)])
 
     @property
     def n(self) -> int:
         return 1 << self.v
 
-    def index_map(self) -> tuple[int, ...]:
-        """g(i) = image assignment of assignment i."""
-        v, n = self.v, self.n
-        out = []
-        for i in range(n):
-            j = 0
-            for k in range(v):
-                if (self.tables[k] >> i) & 1:
-                    j |= 1 << (v - 1 - k)
-            out.append(j)
-        return tuple(out)
-
-    @staticmethod
-    def from_index_map(v: int, g) -> "Substitution":
-        tables = [0] * v
-        for i, j in enumerate(g):
-            for k in range(v):
-                if (j >> (v - 1 - k)) & 1:
-                    tables[k] |= 1 << i
-        return Substitution(v, tuple(tables))
+    @property
+    def tables(self) -> tuple[int, ...]:
+        """Truth table of sigma_k: bit i is p_k in the image of m_i."""
+        v = self.v
+        return tuple(sum((j >> (v - 1 - k) & 1) << i for i, j in enumerate(self.g))
+                     for k in range(v))
 
     def formula_for(self, k: int) -> fm.Formula:
         """sigma_k materialized as the DNF formula of its truth table."""
@@ -92,19 +92,17 @@ class Substitution(Record):
 
 
 def identity(v: int) -> Substitution:
-    return Substitution.from_index_map(v, range(1 << v))
+    return Substitution(v, range(1 << v))
 
 
 def compose(a: Substitution, b: Substitution) -> Substitution:
     """The substitution acting as ``a`` first, then ``b``.
 
-    ``tables[k]`` of the result is the table of ``a``'s formula for p_k
-    evaluated under ``b``'s tables, so phi o (ab) = (phi o a) o b.
+    Its level-0 map is ``a.g`` after ``b.g``, so phi o (ab) = (phi o a) o b.
     """
     if a.v != b.v:
         raise ValueError(f"arity mismatch: {a.v} vs {b.v}")
-    ga, gb = a.index_map(), b.index_map()
-    return Substitution.from_index_map(a.v, tuple(ga[gb[i]] for i in range(a.n)))
+    return Substitution(a.v, [a.g[j] for j in b.g])
 
 
 def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
@@ -138,7 +136,7 @@ def _source_map(ctx: Context,
     """
     if s.v != ctx.v:
         raise ValueError("substitution arity does not match the context")
-    g = s.index_map()
+    g = s.g
     if ctx.d > 1:
         raise DegreeError("substitution application supports d <= 1")
     if ctx.d == 0:
@@ -178,35 +176,15 @@ def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
 
 def is_prime(s: Substitution) -> bool:
     """True iff the substitution is invertible (maps minterms bijectively)."""
-    return len(set(s.index_map())) == s.n
-
-
-def prime_permutations(v: int):
-    """All permutations pi of the level-0 minterms, in itertools order."""
-    if v > 3:
-        raise ValueError("prime enumeration supports v <= 3")
-    return list(permutations(range(1 << v)))
+    return len(set(s.g)) == s.n
 
 
 def enumerate_primes(v: int) -> tuple[Substitution, ...]:
-    """The (2**v)! invertible substitutions, in ``prime_permutations`` order.
-
-    The prime of a permutation pi has sigma_k = sum of m_{pi(i)} over the
-    i where p_k is true in m_i.  Permuting the bit values ``1 << j`` in
-    place of the indices j, table k is the sum of the permuted bits at
-    those i.
-    """
+    """The (2**v)! invertible substitutions, in ``permutations`` order of g."""
     if v > 3:
         raise ValueError("prime enumeration supports v <= 3")
     n = 1 << v
-    columns = []
-    for k in range(v):
-        rows = [i for i in range(n) if (i >> (v - 1 - k)) & 1]
-        # itemgetter returns a lone index's item bare, a slice's as a tuple
-        columns.append(itemgetter(*rows) if len(rows) > 1
-                       else itemgetter(slice(rows[0], rows[0] + 1)))
-    out = tuple([Substitution(v, tuple([sum(col(pi)) for col in columns]))
-                 for pi in permutations([1 << j for j in range(n)])])
+    out = tuple([Substitution(v, pi) for pi in permutations(range(n))])
     assert len(out) == factorial(n)
     return out
 
@@ -224,7 +202,7 @@ def critical_substitution(v: int) -> Substitution:
     n = 1 << v
     g = list(range(n))
     g[n - 1] = n - 2
-    return Substitution.from_index_map(v, tuple(g))
+    return Substitution(v, g)
 
 
 def all_substitutions(v: int):
@@ -232,7 +210,7 @@ def all_substitutions(v: int):
     if v > 2:
         raise ValueError("exhaustive substitution enumeration supports v <= 2")
     n = 1 << v
-    return [Substitution.from_index_map(v, g) for g in product(range(n), repeat=n)]
+    return [Substitution(v, g) for g in product(range(n), repeat=n)]
 
 
 # -- classification -------------------------------------------------------
@@ -260,7 +238,7 @@ def coverage_key(s: Substitution) -> tuple:
     Entry (i, q) is 0 when the image of orbit i misses orbit q, 2 when
     every minterm of q has its source in orbit i, and 1 otherwise.
     """
-    sources = source_orbits(s.index_map())
+    sources = source_orbits(s.g)
     return tuple(tuple(0 if not src >> i & 1 else 2 if src == 1 << i else 1
                        for src in sources)
                  for i in range(len(sources)))
@@ -319,7 +297,7 @@ def classify(v: int, mode: str = "reduced") -> list[DependencyClass]:
             g = []
             for value, part in enumerate(lam):
                 g.extend([value] * part)
-            rep = Substitution.from_index_map(v, tuple(g))
+            rep = Substitution(v, g)
             key = coverage_key(rep)
             if key in seen:
                 raise AssertionError(

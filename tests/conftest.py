@@ -39,8 +39,7 @@ def random_minmatrix(rng: random.Random, v: int, d: int = 1) -> Minmatrix:
 
 def random_substitution(rng: random.Random, v: int) -> Substitution:
     n = 1 << v
-    return Substitution.from_index_map(
-        v, tuple(rng.randrange(n) for _ in range(n)))
+    return Substitution(v, [rng.randrange(n) for _ in range(n)])
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ def test_v3_substitution_census_by_direct_enumeration():
 
 
 def _fiber_partition(s) -> tuple[int, ...]:
-    g = s.index_map()
+    g = s.g
     return tuple(sorted((g.count(t) for t in set(g)), reverse=True))
 
 

@@ -4,6 +4,9 @@ Each command runs in process through ``main(argv)``.  The digests were
 taken from the output of the code before the orbit positions moved into
 ``mmw.orbit``, and the two v=4 lattice digests before the lattice moved
 into orbit space, so any change to what these commands print shows here.
+The two ``collapse --exhaustive`` digests and the ``classify --v 4`` one
+were taken at commit 0a0f86b, before substitutions were stored as their
+level-0 maps.
 A command given as ``("axiom", ...)`` inside another command's argv is
 replaced by the first line that the ``axiom`` command prints (its
 defining formula), which reaches coordinates in the middle of the
@@ -63,6 +66,12 @@ GOLDEN = {
         "56f758cb74e430111280a2d91c104f7f787f961ec5b4494b2df990472aa88c07",
     ("collapse", "--v", "4", "--format", "json", "pqrs->[](pqrs)"):
         "02c816eb9ca191f6a2b8a60bf84a1cd520a12989749f6de06ade371580c8d4e4",
+    ("collapse", "--v", "2", "--exhaustive", "p->[]p"):
+        "dfe5aac79432219ef477880ce6187e2ba33216460801bd1dee09956852082b38",
+    ("collapse", "--v", "2", "--exhaustive", "--format", "json", "pq<>p<>q-><>(pq)"):
+        "0684d43461f91678b211fb75264d19ad7ca613bd4e83a99e77a697ac65f10f79",
+    ("classify", "--v", "4"):
+        "415d476e26bcea6b0f6d43a8310a053937bb06e131a99010d68998911cd87905",
 }
 
 

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -11,8 +12,8 @@ import mmw.lattice
 from mmw.context import context
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
-from mmw.lattice import (STAR, InternalConsistencyError, SystemCoord, build_hasse,
-                         cmm_from_coords, collapse, coord_of, coverage,
+from mmw.lattice import (CMM, STAR, InternalConsistencyError, SystemCoord,
+                         build_hasse, cmm_from_coords, collapse, coord_of, coverage,
                          dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
 from mmw.orbit import (complete_orbits, coord_orbits, images_under, label_order,
@@ -154,7 +155,7 @@ def test_collapse_matches_orbit_space_loop(rng):
     # or added and plain random minmatrices
     for v in (0, 1, 2, 3):
         ctx = context(v, 1)
-        images = images_under(ctx, critical_substitution(v).index_map()) if v else None
+        images = images_under(ctx, critical_substitution(v).g) if v else None
         for _, m in orbit_sums(v):
             assert collapse(m) == orbit_space_collapse(m, images)
         size = ctx.universe_size
@@ -251,7 +252,7 @@ def reference_cover_patterns(v):
     if v == 0:
         full = (1 << len(masks)) - 1
         return full, full, full, full
-    images = images_under(ctx, critical_substitution(v).index_map())
+    images = images_under(ctx, critical_substitution(v).g)
     for i, image in enumerate(images):
         window = 0
         for mask in masks[i:i + 3]:
@@ -302,7 +303,7 @@ def test_first_variable_transplant_is_too_weak():
     # Dd+Dw1+Dw3 survives, so it cannot replace the critical substitution
     ctx0 = context(2, 0)
     p0 = ctx0.var_mask(0)
-    weak = Substitution(2, (p0 & ~(1 << 3) & ~(1 << 2), ctx0.var_mask(1)))
+    weak = Substitution.from_tables(2, (p0 & ~(1 << 3) & ~(1 << 2), ctx0.var_mask(1)))
     subs = list(enumerate_primes(2)) + [weak]
     om = orbit_map(context(2, 1))
     broken = om["Dd0"] | om["Dw1"] | om["Dw3"]
@@ -528,6 +529,23 @@ def test_join_and_meet_of_every_pair():
             for b in hasse.nodes:
                 assert hasse.join(a.coord, b.coord).matrix == a.matrix | b.matrix
                 assert hasse.meet(a.coord, b.coord).matrix == a.matrix & b.matrix
+
+
+def test_meet_reads_no_matrix(monkeypatch):
+    # join and meet are | and & on orbit sets: at v=4 a seeded spread of
+    # node pairs, with the bottom and top, is met with CMM.matrix refused
+    hasse = build_hasse(4)
+    nodes = hasse.nodes
+    rng = random.Random(4)
+    pairs = [(nodes[0], nodes[-1])] + [tuple(rng.sample(nodes, 2)) for _ in range(200)]
+
+    def refuse(self):
+        raise AssertionError("a CMM matrix was built")
+
+    monkeypatch.setattr(CMM, "matrix", property(refuse))
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        assert hasse.meet(a.coord, b.coord).orbits == a.orbits & b.orbits
+        assert hasse.join(a.coord, b.coord).orbits == a.orbits | b.orbits
 
 
 HASSE_MEMORY_SCRIPT = """

@@ -58,10 +58,10 @@ CASES = {
     "NamedSystem": (lambda: NamedSystem("T", COORD, 1, (VARIANT,)),
                     NamedSystem("T", COORD, 2, (VARIANT,)),
                     ("name", "coord", "origin_v", "variants", "errata")),
-    "Substitution": (lambda: Substitution(1, (1,)), Substitution(1, (2,)),
-                     ("v", "tables")),
-    "DependencyClass": (lambda: DependencyClass(((0, 2),), 2, Substitution(1, (1,))),
-                        DependencyClass(((0, 2),), 3, Substitution(1, (1,))),
+    "Substitution": (lambda: Substitution(1, (1, 1)), Substitution(1, (1, 0)),
+                     ("v", "g")),
+    "DependencyClass": (lambda: DependencyClass(((0, 2),), 2, Substitution(1, (1, 1))),
+                        DependencyClass(((0, 2),), 3, Substitution(1, (1, 1))),
                         ("key", "size", "representative")),
     "Minmatrix": (lambda: Minmatrix(K11, 5), Minmatrix(context(1, 0), 5),
                   ("ctx", "bits")),
@@ -108,12 +108,16 @@ def test_defaults_and_type_sensitive_equality():
     lambda: Frame((1, -1)),
     lambda: Model(Frame((1,)), 1, (0, 1)),      # wrong assignment length
     lambda: Model(Frame((1,)), 1, (2,)),        # assignment out of range
-    lambda: Substitution(2, (1,)),              # wrong table count
-    lambda: Substitution(1, (4,)),              # table out of range
+    lambda: Substitution.from_tables(2, (1,)),  # wrong table count
+    lambda: Substitution.from_tables(1, (4,)),  # table out of range
+    lambda: Substitution(1, (0,)),              # wrong image count
+    lambda: Substitution(1, (0, 2)),            # image out of range
+    lambda: Substitution(1, (-1, 0)),
     lambda: SystemCoord("X", 0, 0),             # bad plane
     lambda: SystemCoord("K", "1", 0),           # coordinate neither int nor '*'
 ], ids=["frame-empty", "frame-row", "frame-negative-row", "model-length",
-        "model-range", "subst-count", "subst-range", "coord-plane", "coord-value"])
+        "model-range", "subst-count", "subst-range", "subst-image-count",
+        "subst-image-range", "subst-image-negative", "coord-plane", "coord-value"])
 def test_constructor_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -14,8 +15,7 @@ from mmw.substitution import (Substitution, all_substitutions,
                               apply_formula, apply_minmatrix, apply_minterm,
                               classify, compose, coverage_key,
                               critical_substitution, enumerate_primes, identity,
-                              _partitions, _source_map, is_prime,
-                              prime_permutations)
+                              _partitions, _source_map, is_prime)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -23,7 +23,7 @@ K21 = context(2, 1)
 
 def sub_from_formulas(v, *texts):
     ctx0 = context(v, 0)
-    return Substitution(v, tuple(normalize(parse(t), ctx0).bits for t in texts))
+    return Substitution.from_tables(v, [normalize(parse(t), ctx0).bits for t in texts])
 
 
 def reference_minterm_images(ctx, s):
@@ -34,7 +34,7 @@ def reference_minterm_images(ctx, s):
     and ``neg[i]`` its complement; the image of (section, e) is
     ``pre[section]`` ANDed with ``pos[i]`` or ``neg[i]`` for each factor i.
     """
-    g = s.index_map()
+    g = s.g
     n = ctx.n
     if ctx.d == 0:
         return [sum(1 << j for j in range(n) if g[j] == i) for i in range(n)]
@@ -74,7 +74,7 @@ def engine_cases(rng):
     """
     for v in range(4):
         n = 1 << v
-        subs = [identity(v), Substitution.from_index_map(v, (n - 1,) * n)]
+        subs = [identity(v), Substitution(v, (n - 1,) * n)]
         if v:
             subs.append(critical_substitution(v))
         subs += [random_substitution(rng, v) for _ in range(20)]
@@ -191,13 +191,13 @@ def test_orbit_images_match_mask_walk(rng):
     for ctx, s, images in engine_cases(rng):
         if ctx.d == 1:
             expected = [reference_apply(mask, images) for mask in orbit_masks(ctx)]
-            assert images_under(ctx, s.index_map()) == expected
+            assert images_under(ctx, s.g) == expected
             assert reference_orbit_images(ctx, s) == expected
     # K[4,1] is out of the mask walk's reach: the critical substitution
     # and three seeded maps against the e-value loop
     ctx = context(4, 1)
     for s in [critical_substitution(4)] + [random_substitution(rng, 4) for _ in range(3)]:
-        assert images_under(ctx, s.index_map()) == reference_orbit_images(ctx, s)
+        assert images_under(ctx, s.g) == reference_orbit_images(ctx, s)
 
 
 def mask_coverage_key(s):
@@ -206,7 +206,7 @@ def mask_coverage_key(s):
     masks = orbit_masks(ctx)
     return tuple(tuple(0 if not image & mask else 2 if image & mask == mask else 1
                        for mask in masks)
-                 for image in images_under(ctx, s.index_map()))
+                 for image in images_under(ctx, s.g))
 
 
 def test_coverage_key_matches_mask_key(rng):
@@ -214,11 +214,11 @@ def test_coverage_key_matches_mask_key(rng):
     # each fibre partition's block map and a seeded shuffle of it
     for v in (0, 1, 2):
         for s in all_substitutions(v):
-            assert coverage_key(s) == mask_coverage_key(s), s.index_map()
+            assert coverage_key(s) == mask_coverage_key(s), s.g
     for lam in _partitions(8):
         g = [t for t, size in enumerate(lam) for _ in range(size)]
         for h in (g, rng.sample(g, len(g))):
-            s = Substitution.from_index_map(3, tuple(h))
+            s = Substitution(3, h)
             assert coverage_key(s) == mask_coverage_key(s), h
 
 
@@ -275,16 +275,35 @@ def reference_prime(v, pi):
         for k in range(v):
             if (i >> (v - 1 - k)) & 1:
                 tables[k] |= 1 << pi[i]
-    return Substitution(v, tuple(tables))
+    return Substitution.from_tables(v, tables)
 
 
 def test_enumerate_primes_matches_permutation_loop():
-    assert enumerate_primes(0) == (Substitution(0, ()),)
+    # the prime of pi maps m_pi(i) to m_i, so its g is the inverse of pi
+    assert enumerate_primes(0) == (Substitution(0, (0,)),)
     for v in range(4):
-        want = [reference_prime(v, pi) for pi in prime_permutations(v)]
-        assert list(enumerate_primes(v)) == want
+        n = 1 << v
+        primes = enumerate_primes(v)
+        assert [s.g for s in primes] == list(permutations(range(n)))
+        for s in primes:
+            inverse = [0] * n
+            for i, j in enumerate(s.g):
+                inverse[j] = i
+            assert s == reference_prime(v, inverse)
     with pytest.raises(ValueError):
         enumerate_primes(4)
+
+
+def test_tables_and_level0_map_agree(rng):
+    # from_tables inverts the derived tables, and formula_for spells each
+    # table: every map at v <= 2, 200 seeded maps at each of v = 3 and 4
+    subs = [s for v in (0, 1, 2) for s in all_substitutions(v)]
+    subs += [random_substitution(rng, v) for v in (3, 4) for _ in range(200)]
+    for s in subs:
+        ctx0 = context(s.v, 0)
+        assert Substitution.from_tables(s.v, s.tables) == s
+        for k in range(s.v):
+            assert normalize(s.formula_for(k), ctx0).bits == s.tables[k]
 
 
 APPENDIX_PRIMES_V2 = [
@@ -315,9 +334,9 @@ def test_primes_are_minterm_bijections():
 def test_critical_substitution_values():
     assert critical_substitution(1) == sub_from_formulas(1, "0")
     c2 = critical_substitution(2)
-    assert c2.index_map() == (0, 1, 2, 2)
+    assert c2.g == (0, 1, 2, 2)
     c3 = critical_substitution(3)
-    assert c3.index_map() == (0, 1, 2, 3, 4, 5, 6, 6)
+    assert c3.g == (0, 1, 2, 3, 4, 5, 6, 6)
     assert not is_prime(c2)
     with pytest.raises(ValueError):
         critical_substitution(0)
