@@ -32,8 +32,8 @@ _LAZY = {
                      "identity", "is_prime"),
     "lattice": ("CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
                 "coverage", "enumerate_cmms", "map_to_star"),
-    "kripke": ("Frame", "FrameCondition", "Model", "correspondence_check", "eval_model",
-               "find_countermodel", "valid_on_frame"),
+    "kripke": ("Frame", "Model", "correspondence_check", "eval_model", "find_countermodel",
+               "valid_on_frame"),
     "axiom": ("alpha_D", "alpha_K", "alpha_prime_K", "named_systems", "system_of"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

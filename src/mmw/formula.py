@@ -17,7 +17,7 @@ from ._record import Record
 __all__ = [
     "Formula", "Const0", "Const1", "Var", "Not", "And", "Or", "Implies",
     "Iff", "Box", "Diamond", "FormulaSyntaxError", "parse", "render",
-    "modal_degree", "variables", "rename_vars",
+    "modal_degree", "variables", "substitute", "rename_vars",
 ]
 
 VAR_LETTERS = "pqrs"
@@ -27,15 +27,6 @@ class Formula(Record):
     """Base class; concrete nodes are the subclasses below."""
 
     __slots__ = ()
-
-    def __and__(self, other: Formula) -> Formula:
-        return And(self, other)
-
-    def __or__(self, other: Formula) -> Formula:
-        return Or(self, other)
-
-    def __invert__(self) -> Formula:
-        return Not(self)
 
 
 class Const0(Formula):
@@ -115,19 +106,20 @@ def variables(f: Formula) -> int:
     return max(variables(f.left), variables(f.right))
 
 
-def rename_vars(f: Formula, mapping: dict[int, int]) -> Formula:
-    """Replace each variable index by ``mapping[index]`` (identity if absent)."""
+def substitute(f: Formula, replace) -> Formula:
+    """Replace each variable p_k by the formula ``replace(k)``."""
     if isinstance(f, Var):
-        return Var(mapping.get(f.index, f.index))
+        return replace(f.index)
     if isinstance(f, (Const0, Const1)):
         return f
-    if isinstance(f, Not):
-        return Not(rename_vars(f.child, mapping))
-    if isinstance(f, Box):
-        return Box(rename_vars(f.child, mapping))
-    if isinstance(f, Diamond):
-        return Diamond(rename_vars(f.child, mapping))
-    return type(f)(rename_vars(f.left, mapping), rename_vars(f.right, mapping))
+    if isinstance(f, (Not, Box, Diamond)):
+        return type(f)(substitute(f.child, replace))
+    return type(f)(substitute(f.left, replace), substitute(f.right, replace))
+
+
+def rename_vars(f: Formula, mapping: dict[int, int]) -> Formula:
+    """Replace each variable index by ``mapping[index]`` (identity if absent)."""
+    return substitute(f, lambda k: Var(mapping.get(k, k)))
 
 
 class FormulaSyntaxError(ValueError):

@@ -18,11 +18,14 @@ Those minterms form the orbit set of a lattice coordinate, so
 (``orbit.complete_orbits``) into a table of 2(n+1) types, and a frame is
 valid iff every world's type is in it: O(|W|) per frame instead of
 n**|W| valuations.
+``valid_on_frame`` and ``find_countermodel`` build that table for a
+formula of degree <= 1 and walk every valuation with ``eval_model`` (a
+direct recursion over the formula) otherwise; the walk, ``_falsify``, is
+the oracle the structural rule is tested against.
 ``correspondence_check`` takes the table of the coordinate's CMM: frame
 validity is closed under substitution, so an axiom and its collapse are
-valid on the same frames.  ``valid_on_frame(method="direct")``
-enumerates every valuation with ``eval_model``, a direct recursion over
-the formula, and is the oracle the structural rule is tested against.
+valid on the same frames.  The frame condition F(x, y) is read off the
+coordinate's image in the assembled lattice (``map_to_star``).
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .minmatrix import normalize
 from .orbit import complete_orbits, coord_orbits
 
 __all__ = [
-    "Frame", "Model", "FrameCondition", "eval_model", "valid_on_frame",
+    "Frame", "Model", "eval_model", "valid_on_frame", "condition_holds_at",
     "frame_condition_holds", "correspondence_check", "find_countermodel",
     "iter_frames", "CorrespondenceReport", "type_table",
 ]
 
-DEFAULT_WORLD_CAP = 6
+WORLD_CAP = 6
 
 
 class Frame(Record):
@@ -157,26 +160,31 @@ def _valid_by_types(fr: Frame, table, n: int) -> bool:
     return True
 
 
-def valid_on_frame(fr: Frame, f: fm.Formula, v: int,
-                   cap: int = DEFAULT_WORLD_CAP, method: str = "auto") -> bool:
+def _types_of(f: fm.Formula, v: int, n: int):
+    """The ``type_table`` of f in K[v,1], or None when f has degree 2 or more.
+
+    Normalizing refuses a K[v,1] over the cap (``CapExceededError``)
+    rather than leave a degree <= 1 formula to walk n**|W| valuations.
+    """
+    if fm.modal_degree(f) > 1:
+        return None
+    return type_table(complete_orbits(normalize(f, context(v, 1))), n)
+
+
+def valid_on_frame(fr: Frame, f: fm.Formula, v: int) -> bool:
     """True iff f holds at every world under every of the n**|W| valuations.
 
-    ``method="semantic"`` normalizes once and checks each world's type
-    against ``type_table`` (degree <= 1 only); ``"direct"`` recurses with
-    eval_model over every valuation; ``"auto"`` picks the semantic route
-    when the degree allows.
+    A degree <= 1 formula is decided by each world's type (``type_table``);
+    a deeper one by walking the valuations.  Frames over ``WORLD_CAP``
+    worlds are refused.
     """
-    if fr.size > cap:
-        raise ValueError(f"frame has {fr.size} worlds, over the cap {cap}")
+    if fr.size > WORLD_CAP:
+        raise ValueError(f"frame has {fr.size} worlds, over the cap {WORLD_CAP}")
     n = context(v, 0).n
-    if method == "auto":
-        method = "semantic" if fm.modal_degree(f) <= 1 else "direct"
-    if method == "semantic":
-        kept = complete_orbits(normalize(f, context(v, 1)))
-        return _valid_by_types(fr, type_table(kept, n), n)
-    if method == "direct":
+    table = _types_of(f, v, n)
+    if table is None:
         return _falsify(fr, f, v, n) is None
-    raise ValueError(f"unknown method {method!r}")
+    return _valid_by_types(fr, table, n)
 
 
 def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
@@ -192,36 +200,26 @@ def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
     return None
 
 
-class FrameCondition(Record):
-    """Per-world condition F(x,y): the C branch or the W branch.
+def condition_holds_at(fr: Frame, w: int, star: SystemCoord) -> bool:
+    """The frame condition F(x, y) of a star coordinate at world w.
 
-    C requires an irreflexive world with a bounded number of seen others
-    (the D plane adds "at least one"); W requires a reflexive world with
-    a bounded number of seen others.  STAR removes the upper bound and
-    y = -1 makes the W branch unsatisfiable.
+    An irreflexive world satisfies the C branch when it sees at most x
+    other worlds (the D plane adds "at least one"); a reflexive world
+    satisfies the W branch when it sees at most y others.  STAR removes
+    the upper bound and y = -1 makes the W branch unsatisfiable.
     """
-
-    __slots__ = ("plane", "x", "y")
-
-    def __init__(self, plane: str, x: int | str, y: int | str):
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def holds_at(self, fr: Frame, w: int) -> bool:
-        row = fr.rows[w]
-        self_loop = bool((row >> w) & 1)
-        others = row.bit_count() - (1 if self_loop else 0)
-        if self_loop:
-            return self.y == STAR or (self.y >= 0 and others <= self.y)
-        lower = 1 if self.plane == "D" else 0
-        if self.x == STAR:
-            return others >= lower
-        return lower <= others <= self.x
+    row = fr.rows[w]
+    loop = (row >> w) & 1
+    others = row.bit_count() - loop
+    if loop:
+        return star.y == STAR or others <= star.y
+    lower = 1 if star.plane == "D" else 0
+    return others >= lower and (star.x == STAR or others <= star.x)
 
 
-def frame_condition_holds(fr: Frame, cond: FrameCondition) -> bool:
-    return all(cond.holds_at(fr, w) for w in range(fr.size))
+def frame_condition_holds(fr: Frame, star: SystemCoord) -> bool:
+    """F(x, y) of ``star`` (a coordinate of ``map_to_star``) at every world."""
+    return all(condition_holds_at(fr, w, star) for w in range(fr.size))
 
 
 def iter_frames(size: int):
@@ -261,7 +259,6 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
         raise ValueError(f"sample must be at least 1, not {sample}")
     table = type_table(cmm_from_coords(coord, v).orbits, 1 << v)
     star = map_to_star(coord, v)
-    cond = FrameCondition(star.plane, star.x, star.y)
     n = 1 << v
     rng = random.Random(seed)
     checked = 0
@@ -275,7 +272,7 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
         for rel in rels:
             fr = Frame.from_relation(size, rel)
             valid = _valid_by_types(fr, table, n)
-            holds = frame_condition_holds(fr, cond)
+            holds = frame_condition_holds(fr, star)
             checked += 1
             if valid != holds:
                 violations.append({"worlds": size, "relation": rel,
@@ -299,10 +296,7 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3,
     if v is None:
         v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap
-    table = None
-    if fm.modal_degree(f) <= 1:
-        # refuses a K[v,1] over the cap rather than walk n**|W| valuations
-        table = type_table(complete_orbits(normalize(f, context(v, 1))), n)
+    table = _types_of(f, v, n)
     for size in range(1, max_worlds + 1):
         for fr in iter_frames(size):
             if table is not None and _valid_by_types(fr, table, n):

@@ -298,7 +298,7 @@ class HasseDiagram(Record):
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""
-        return self._with_orbits(self._get(a).orbits | self._get(b).orbits,
+        return self._with_orbits(self._orbits(a) | self._orbits(b),
                                  f"union of {a} and {b}")
 
     def meet(self, a: SystemCoord, b: SystemCoord) -> CMM:
@@ -307,20 +307,18 @@ class HasseDiagram(Record):
         A union of orbits is a collapse fixpoint exactly when its orbit set
         is a coordinate set, so ``_with_orbits`` checks it does not collapse.
         """
-        return self._with_orbits(self._get(a).orbits & self._get(b).orbits,
+        return self._with_orbits(self._orbits(a) & self._orbits(b),
                                  f"intersection of {a} and {b}")
 
-    def _get(self, coord: SystemCoord) -> CMM:
-        for c in self.nodes:
-            if c.coord == coord:
-                return c
-        raise KeyError(str(coord))
+    def _orbits(self, coord: SystemCoord) -> int:
+        return coord_orbits(coord.plane, *coord.resolve(self.nodes[0].ctx.n))
 
     def _with_orbits(self, keep: int, what: str) -> CMM:
-        coord = coord_of(keep, self.nodes[0].ctx.n)
+        ctx = self.nodes[0].ctx
+        coord = coord_of(keep, ctx.n)
         if coord is None:
             raise InternalConsistencyError(f"{what} is not a coordinate CMM")
-        return self._get(coord)
+        return CMM(ctx, coord, keep)
 
 
 def build_hasse(v: int) -> HasseDiagram:

@@ -110,21 +110,7 @@ def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
     if fm.variables(f) > s.v:
         raise ValueError("formula uses more variables than the substitution")
     reps = {k: s.formula_for(k) for k in range(s.v)}
-
-    def go(node: fm.Formula) -> fm.Formula:
-        if isinstance(node, fm.Var):
-            return reps[node.index]
-        if isinstance(node, (fm.Const0, fm.Const1)):
-            return node
-        if isinstance(node, fm.Not):
-            return fm.Not(go(node.child))
-        if isinstance(node, fm.Box):
-            return fm.Box(go(node.child))
-        if isinstance(node, fm.Diamond):
-            return fm.Diamond(go(node.child))
-        return type(node)(go(node.left), go(node.right))
-
-    return go(f)
+    return fm.substitute(f, reps.__getitem__)
 
 
 def _source_map(ctx: Context,

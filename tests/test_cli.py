@@ -320,8 +320,8 @@ EXPORTS = {
     "context": ["CapExceededError", "Context", "DegreeError", "context", "enumerate_E"],
     "formula": ["Formula", "FormulaSyntaxError", "modal_degree", "parse", "render",
                 "variables"],
-    "kripke": ["Frame", "FrameCondition", "Model", "correspondence_check", "eval_model",
-               "find_countermodel", "valid_on_frame"],
+    "kripke": ["Frame", "Model", "correspondence_check", "eval_model", "find_countermodel",
+               "valid_on_frame"],
     "lattice": ["CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
                 "coverage", "enumerate_cmms", "map_to_star"],
     "minmatrix": ["ContextMismatchError", "Minmatrix", "is_theorem_K", "normalize"],

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmw.formula import (And, Box, Const0, Const1, Diamond, FormulaSyntaxError,
                          Iff, Implies, Not, Or, Var, modal_degree, parse,
-                         render, rename_vars, variables)
+                         render, rename_vars, substitute, variables)
 
 p, q, r = Var(0), Var(1), Var(2)
 
@@ -75,6 +75,8 @@ def test_variables_count():
 def test_rename_vars():
     f = parse("p->q+r")
     assert rename_vars(f, {0: 1, 1: 2, 2: 0}) == parse("q->r+p")
+    reps = {0: parse("q+r"), 1: Const1()}
+    assert substitute(parse("[]p-><>!q&p"), reps.__getitem__) == parse("[](q+r)-><>!1&(q+r)")
 
 
 def formula_strategy(v=3):

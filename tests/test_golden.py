@@ -6,7 +6,10 @@ taken from the output of the code before the orbit positions moved into
 into orbit space, so any change to what these commands print shows here.
 The two ``collapse --exhaustive`` digests and the ``classify --v 4`` one
 were taken at commit 0a0f86b, before substitutions were stored as their
-level-0 maps.
+level-0 maps.  The four ``countermodel`` digests and the two ``frames
+--correspondence`` text digests were taken at commit a2c00c9, before
+``valid_on_frame`` lost its ``method`` option and ``FrameCondition`` was
+read off the star coordinate.
 A command given as ``("axiom", ...)`` inside another command's argv is
 replaced by the first line that the ``axiom`` command prints (its
 defining formula), which reaches coordinates in the middle of the
@@ -72,6 +75,19 @@ GOLDEN = {
         "0684d43461f91678b211fb75264d19ad7ca613bd4e83a99e77a697ac65f10f79",
     ("classify", "--v", "4"):
         "415d476e26bcea6b0f6d43a8310a053937bb06e131a99010d68998911cd87905",
+    ("countermodel", "[]p->p", "--max-worlds", "3"):
+        "1f1ca502de09127ccaf124e1c7e07bb0c8d96898b2387c10d4d7b3d74df17caf",
+    ("countermodel", "--format", "json", "[]p->[][]p"):
+        "1539d5c56fe556b33fe7ec9b387c7c68bea016bb4142357568be59db819c4337",
+    ("countermodel", "--format", "json", "pq-><>(pq)"):
+        "e711fa1018720b42dd56cdfd857fd78b4419e645a78f6e247542cacd728a99c2",
+    ("countermodel", "--format", "json", "[](p->q)+[](q->p)+[](p+q)"):
+        "eca4934421fb9f230eef8abc51e9fbb6594c1a704e3bae4ae44c40939550eb31",
+    ("frames", "--correspondence", "--v", "1", "--plane", "D", "--x", "0", "--y", "*",
+     "--max-worlds", "4", "--sample", "200", "--seed", "7"):
+        "c813a308e8d2e36e7220f0dfc7278354be37c83441b50d838eeb9ba1db6b690d",
+    ("frames", "--correspondence", "--v", "2", "--all-coords"):
+        "cc3d683d69257dc85b0f2265f03586e71afe1be1a42d3c2bd35730b58a158569",
 }
 
 

@@ -8,9 +8,10 @@ from conftest import random_formula
 from mmw.axiom import alpha_for, alpha_K
 from mmw.context import context
 from mmw.formula import Box, Not, Or, parse
-from mmw.kripke import (Frame, FrameCondition, Model, correspondence_check,
-                        eval_model, find_countermodel, frame_condition_holds,
-                        iter_frames, type_table, valid_on_frame)
+from mmw.kripke import (Frame, Model, _falsify, condition_holds_at,
+                        correspondence_check, eval_model, find_countermodel,
+                        frame_condition_holds, iter_frames, type_table,
+                        valid_on_frame)
 from mmw.lattice import STAR, SystemCoord, enumerate_cmms, map_to_star
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.orbit import complete_orbits, orbit_union
@@ -50,8 +51,7 @@ def test_valid_on_frame_methods_agree(rng):
     for _ in range(150):
         f = random_formula(rng, 2, 3)
         for fr in frames:
-            assert valid_on_frame(fr, f, 2, method="semantic") == \
-                valid_on_frame(fr, f, 2, method="direct")
+            assert valid_on_frame(fr, f, 2) == (_falsify(fr, f, 2, 4) is None)
 
 
 def _type_table_by_minterms(bits, v):
@@ -115,12 +115,11 @@ def test_type_table_matches_frame_condition():
         for c in enumerate_cmms(v):
             ok = type_table(c.orbits, n)
             star = map_to_star(c.coord, v)
-            cond = FrameCondition(star.plane, star.x, star.y)
             for loop in (0, 1):
                 for k in range(n + 2):
                     # world 0 sees worlds 1..k, and itself when loop is set
                     fr = Frame((((1 << k) - 1) << 1 | loop,) + (0,) * k)
-                    assert ok[loop][min(k, n)] == cond.holds_at(fr, 0), \
+                    assert ok[loop][min(k, n)] == condition_holds_at(fr, 0, star), \
                         (str(c.coord), loop, k)
 
 
@@ -133,8 +132,7 @@ def test_structural_caps_agree_with_direct(rng):
     formulas += [random_formula(rng, 1, 4) for _ in range(100)]
     for f in formulas:
         for fr in (hub, star):
-            assert valid_on_frame(fr, f, 1, method="semantic") == \
-                valid_on_frame(fr, f, 1, method="direct")
+            assert valid_on_frame(fr, f, 1) == (_falsify(fr, f, 1, 2) is None)
 
 
 def _brute_force_countermodel(f, max_worlds, v):
@@ -161,16 +159,16 @@ def test_countermodel_matches_brute_force(rng):
 
 
 def test_frame_conditions():
-    refl_everywhere = FrameCondition("D", 0, STAR)
+    refl_everywhere = SystemCoord("D", 0, STAR)
     assert frame_condition_holds(REFL, refl_everywhere)
     assert not frame_condition_holds(BLIND, refl_everywhere)
     assert not frame_condition_holds(CYCLE, refl_everywhere)
 
-    serial = FrameCondition("D", STAR, STAR)
+    serial = SystemCoord("D", STAR, STAR)
     assert frame_condition_holds(CYCLE, serial)
     assert not frame_condition_holds(BLIND, serial)
 
-    all_blind = FrameCondition("K", 0, -1)
+    all_blind = SystemCoord("K", 0, -1)
     assert frame_condition_holds(Frame((0, 0)), all_blind)
     assert not frame_condition_holds(REFL, all_blind)
 
@@ -236,7 +234,7 @@ def test_soundness_bridge(rng):
             continue
         checked += 1
         for fr in frames:
-            assert valid_on_frame(fr, f, 2, method="direct")
+            assert _falsify(fr, f, 2, 4) is None
 
 
 def test_semantic_agreement(rng):

@@ -518,6 +518,12 @@ def test_hasse_diagram_v1():
     assert labels_of(join.orbits, 2) == ["Vv0", "Dd0"]     # Ver v Triv = K_triv
     meet = hasse.meet(SystemCoord("K", 0, 1), SystemCoord("D", 1, 1))
     assert labels_of(meet.orbits, 2) == ["Dd0", "Dw1"]
+    # operands are resolved in the diagram's context: a star coordinate
+    # names its node there, and one out of range is refused
+    top = hasse.join(SystemCoord("K", STAR, STAR), SystemCoord("D", 0, -1))
+    assert top == tops[0]
+    with pytest.raises(ValueError):
+        hasse.meet(SystemCoord("K", 2, 2), SystemCoord("D", 0, -1))
 
 
 def test_join_and_meet_of_every_pair():
@@ -544,8 +550,9 @@ def test_meet_reads_no_matrix(monkeypatch):
 
     monkeypatch.setattr(CMM, "matrix", property(refuse))
     for a, b in pairs + [(b, a) for a, b in pairs]:
-        assert hasse.meet(a.coord, b.coord).orbits == a.orbits & b.orbits
-        assert hasse.join(a.coord, b.coord).orbits == a.orbits | b.orbits
+        meet, join = hasse.meet(a.coord, b.coord), hasse.join(a.coord, b.coord)
+        assert meet.orbits == a.orbits & b.orbits and meet in hasse.nodes
+        assert join.orbits == a.orbits | b.orbits and join in hasse.nodes
 
 
 HASSE_MEMORY_SCRIPT = """

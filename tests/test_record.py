@@ -9,8 +9,8 @@ from mmw import formula as fm
 from mmw.axiom import (AxiomVariant, ErratumVariant, NamedSystem, alpha_for,
                        system_of, variant_collapse)
 from mmw.context import context
-from mmw.kripke import (CorrespondenceReport, Frame, FrameCondition, Model,
-                        correspondence_check, find_countermodel)
+from mmw.kripke import (CorrespondenceReport, Frame, Model, correspondence_check,
+                        find_countermodel)
 from mmw.lattice import CMM, STAR, HasseDiagram, SystemCoord, cmm_from_coords, collapse
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.orbit import PrimeOrbit
@@ -39,8 +39,6 @@ CASES = {
     "Frame": (lambda: Frame((2, 1)), Frame((2, 0)), ("rows",)),
     "Model": (lambda: Model(Frame((1,)), 1, (0,)), Model(Frame((1,)), 1, (1,)),
               ("frame", "v", "assignment")),
-    "FrameCondition": (lambda: FrameCondition("D", 0, STAR),
-                       FrameCondition("K", 0, STAR), ("plane", "x", "y")),
     "CorrespondenceReport": (lambda: CorrespondenceReport(COORD, 1, 2, 18, ()),
                              CorrespondenceReport(COORD, 1, 3, 18, ()),
                              ("coord", "v", "max_worlds", "frames_checked",
