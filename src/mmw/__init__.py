@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 # lazy submodule -> the names the package exports from it
 _LAZY = {
-    "minmatrix": ("ContextMismatchError", "Minmatrix", "is_theorem_K", "normalize"),
+    "minmatrix": ("ContextMismatchError", "Minmatrix", "normalize"),
     "orbit": ("PrimeOrbit", "compute_orbits", "orbit_closed_form", "orbit_of"),
     "substitution": ("Substitution", "apply_formula", "apply_minmatrix", "apply_minterm",
                      "classify", "compose", "critical_substitution", "enumerate_primes",

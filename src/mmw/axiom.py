@@ -19,10 +19,9 @@ from __future__ import annotations
 from . import formula as fm
 from ._record import Record
 from .context import context, enumerate_E, level0_minterm
-from .lattice import (STAR, InternalConsistencyError, SystemCoord,
-                      cmm_from_coords, collapse, coord_of, map_to_star)
+from .lattice import (STAR, SystemCoord, cmm_from_coords, cmm_of, collapse,
+                      map_to_star)
 from .minmatrix import Minmatrix, normalize
-from .orbit import complete_orbits, labels_of
 
 __all__ = [
     "alpha_K", "alpha_D", "alpha_prime_K", "alpha_for", "system_of",
@@ -101,14 +100,7 @@ def system_of(f: fm.Formula) -> tuple[SystemCoord, int]:
     if fm.modal_degree(f) > 1:
         raise ValueError("system decision requires modal degree <= 1")
     v = max(fm.variables(f), 1)
-    ctx = context(v, 1)
-    keep = complete_orbits(collapse(normalize(f, ctx)))
-    coord = coord_of(keep, ctx.n)
-    if coord is None:
-        raise InternalConsistencyError(
-            f"collapse fixpoint (complete orbits {labels_of(keep, ctx.n)}) "
-            "is not a coordinate CMM")
-    return map_to_star(coord, v), v
+    return map_to_star(cmm_of(normalize(f, context(v, 1))).coord, v), v
 
 
 # -- cyclic-sum and cyclic-product macros (registry syntax only) -----------

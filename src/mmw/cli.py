@@ -45,29 +45,27 @@ def cmd_normalize(args) -> int:
 def cmd_collapse(args) -> int:
     from .context import context
     from .formula import parse
-    from .lattice import collapse, coord_of
+    from .lattice import cmm_of
     from .minmatrix import normalize
-    from .orbit import complete_orbits, display_label, labels_of
+    from .orbit import display_label, labels_of
     from .substitution import all_substitutions
     ctx = context(args.v, 1)
     m = normalize(parse(args.formula), ctx)
     subs = all_substitutions(args.v) if args.exhaustive else None
-    result = collapse(m, subs)
-    keep = complete_orbits(result)
-    coord = coord_of(keep, ctx.n)
-    labels = labels_of(keep, ctx.n)
+    cmm = cmm_of(m, subs)
+    result = cmm.matrix
+    labels = labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
         import json
         doc = result.to_json()
         doc["orbits"] = labels
-        doc["coord"] = str(coord) if coord else None
+        doc["coord"] = str(cmm.coord)
         print(json.dumps(doc))
     else:
         print(result.render_matrix())
         names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
         print(f"orbits: [{names}]")
-        if coord is not None:
-            print(f"coordinate: {coord}")
+        print(f"coordinate: {cmm.coord}")
     return 0
 
 
@@ -161,18 +159,18 @@ def cmd_axiom(args) -> int:
     from .axiom import alpha_for
     from .context import context
     from .formula import render
-    from .lattice import SystemCoord, collapse
+    from .lattice import SystemCoord, cmm_of
     from .minmatrix import normalize
-    from .orbit import complete_orbits, display_label, labels_of
+    from .orbit import display_label, labels_of
     coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
     axiom = alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
-    cmm = collapse(normalize(axiom, ctx))
-    labels = labels_of(complete_orbits(cmm), ctx.n)
+    cmm = cmm_of(normalize(axiom, ctx))
+    labels = labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
         import json
         doc = {"coord": str(coord), "axiom": render(axiom),
-               "cmm": cmm.to_json(), "orbits": labels}
+               "cmm": cmm.matrix.to_json(), "orbits": labels}
         print(json.dumps(doc))
     else:
         print(render(axiom))

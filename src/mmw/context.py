@@ -8,7 +8,8 @@ Encoding, shared by every module:
 * level ``d >= 1``: ``index = s * 2**E + e`` where ``s`` is the index of
   the Boolean prefix (the section), ``E`` is the predecessor universe
   size, and bit ``i`` of ``e`` is the state of the modal factor
-  ``<>mu_i`` built from predecessor minterm ``mu_i``.
+  ``<>mu_i`` built from predecessor minterm ``mu_i``.  ``Context.split``
+  is the one decoder of such an index into ``(s, e)``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Context:
         self.full = (1 << size) - 1
         self._factor_masks: list[int] | None = None
         self._var_masks: list[int] | None = None
+        # the prime orbits' masks at d = 1, filled by ``orbit.orbit_masks``
+        self._orbit_masks: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"K[{self.v},{self.d}]"
@@ -107,38 +110,13 @@ class Context:
                                   for j in range(self.e_bits)]
         return self._factor_masks[i]
 
-    def section_mask(self, s: int) -> int:
-        block = (1 << (1 << self.e_bits)) - 1
-        return block << (s << self.e_bits)
-
     # -- minterm encoding ------------------------------------------------
-
-    def decode(self, index: int) -> tuple[int, tuple[int, ...]]:
-        """Split ``index`` into (section, epsilon tuple); d = 1 only."""
-        if self.d != 1:
-            raise DegreeError(f"decode requires d=1, not d={self.d}")
-        self._check_index(index)
-        s, e = divmod(index, 1 << self.e_bits)
-        return s, tuple((e >> i) & 1 for i in range(self.e_bits))
-
-    def encode(self, s: int, epsilon) -> int:
-        if self.d != 1:
-            raise DegreeError(f"encode requires d=1, not d={self.d}")
-        e = sum(bit << i for i, bit in enumerate(epsilon))
-        return (s << self.e_bits) | e
 
     def split(self, index: int) -> tuple[int, int]:
         """(section, e-bits) of ``index``; any d >= 1."""
         if self.d == 0:
             raise DegreeError("level 0 indices have no section part")
         return divmod(index, 1 << self.e_bits)
-
-    def chi(self, index: int) -> int:
-        """Count of modal factors in state 1; d = 1 only."""
-        if self.d != 1:
-            raise DegreeError(f"chi requires d=1, not d={self.d}")
-        self._check_index(index)
-        return (index & ((1 << self.e_bits) - 1)).bit_count()
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.universe_size:

@@ -280,21 +280,19 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     return CorrespondenceReport(coord, v, max_worlds, checked, tuple(violations))
 
 
-def find_countermodel(f: fm.Formula, max_worlds: int = 3,
-                      v: int | None = None):
+def find_countermodel(f: fm.Formula, max_worlds: int = 3):
     """Smallest (frame, model, world) falsifying f, or None within the cap.
 
     Frames are searched by world count, then relation number, then
     valuation in lexicographic order, so the witness is deterministic.
     For degree <= 1 the frames that ``type_table`` shows valid are
     skipped, and valuations are enumerated only on the first frame that
-    is not; such a formula needs K[v,1] under the cap
-    (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is refused.
+    is not; such a formula needs K[v,1], v = max(variables(f), 1), under
+    the cap (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is refused.
     """
     if max_worlds < 1:
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
-    if v is None:
-        v = max(fm.variables(f), 1)
+    v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap
     table = _types_of(f, v, n)
     for size in range(1, max_worlds + 1):

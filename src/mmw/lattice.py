@@ -10,6 +10,8 @@ n**n substitutions, v <= 2) exists as the validating oracle.
 
 A CMM is a coordinate plus its 2n-bit orbit set (``mmw.orbit``); the
 census, Hasse edges, join and meet are arithmetic on orbit sets.
+``cmm_of`` is the one step from a minmatrix to its CMM; it, join and meet
+raise ``InternalConsistencyError`` on an orbit set that is no coordinate's.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from functools import lru_cache
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import (coord_orbits, label_order, labels_of, orbit_masks,
-                    orbit_union, source_orbits)
+from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
+                    orbit_masks, orbit_union, source_orbits)
 from .substitution import (Substitution, apply_minmatrix, coverage_key,
                            critical_substitution)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
-    "cmm_from_coords", "coord_of", "enumerate_cmms", "coverage",
+    "cmm_of", "cmm_from_coords", "coord_of", "enumerate_cmms", "coverage",
     "dependency_rules_hold", "build_hasse", "HasseDiagram", "map_to_star",
     "surviving_orbit_sums",
 ]
@@ -188,6 +190,20 @@ def coord_of(keep: int, n: int) -> SystemCoord | None:
     return SystemCoord(plane, x, y)
 
 
+def cmm_of(m: Minmatrix, subs=None) -> CMM:
+    """The CMM that ``m`` collapses to under ``subs`` (the default set if None)."""
+    return _cmm(m.ctx, complete_orbits(collapse(m, subs)))
+
+
+def _cmm(ctx: Context, keep: int) -> CMM:
+    """The CMM of ``ctx`` with orbit set ``keep``, which must be a coordinate set."""
+    coord = coord_of(keep, ctx.n)
+    if coord is None:
+        raise InternalConsistencyError(
+            f"orbit set [{'+'.join(labels_of(keep, ctx.n))}] is not a coordinate CMM")
+    return CMM(ctx, coord, keep)
+
+
 def enumerate_cmms(v: int) -> list[CMM]:
     """All n(n+3) coordinate CMMs, K plane first, bottom (F/Ver side) up."""
     n = context(v, 1).n
@@ -298,27 +314,18 @@ class HasseDiagram(Record):
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""
-        return self._with_orbits(self._orbits(a) | self._orbits(b),
-                                 f"union of {a} and {b}")
+        return _cmm(self.nodes[0].ctx, self._orbits(a) | self._orbits(b))
 
     def meet(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice meet: the CMM whose matrix is the intersection.
 
         A union of orbits is a collapse fixpoint exactly when its orbit set
-        is a coordinate set, so ``_with_orbits`` checks it does not collapse.
+        is a coordinate set, so ``_cmm`` checks it does not collapse.
         """
-        return self._with_orbits(self._orbits(a) & self._orbits(b),
-                                 f"intersection of {a} and {b}")
+        return _cmm(self.nodes[0].ctx, self._orbits(a) & self._orbits(b))
 
     def _orbits(self, coord: SystemCoord) -> int:
         return coord_orbits(coord.plane, *coord.resolve(self.nodes[0].ctx.n))
-
-    def _with_orbits(self, keep: int, what: str) -> CMM:
-        ctx = self.nodes[0].ctx
-        coord = coord_of(keep, ctx.n)
-        if coord is None:
-            raise InternalConsistencyError(f"{what} is not a coordinate CMM")
-        return CMM(ctx, coord, keep)
 
 
 def build_hasse(v: int) -> HasseDiagram:

@@ -19,7 +19,7 @@ from . import formula as fm
 from ._record import Record
 from .context import Context, DegreeError, context
 
-__all__ = ["Minmatrix", "ContextMismatchError", "normalize", "is_theorem_K"]
+__all__ = ["Minmatrix", "ContextMismatchError", "normalize"]
 
 
 class ContextMismatchError(ValueError):
@@ -214,10 +214,6 @@ def normalize(f: fm.Formula, ctx: Context) -> Minmatrix:
                 bits[i] = full
         below = bits
     return Minmatrix(ctx, below[-1])
-
-
-def is_theorem_K(m: Minmatrix) -> bool:
-    return m.is_theorem_K()
 
 
 def _intern(f: fm.Formula) -> tuple[list[tuple[int, int, int]],

@@ -20,7 +20,6 @@ positions.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -202,10 +201,12 @@ def source_orbits(g) -> list[int]:
     return rel
 
 
-@lru_cache(maxsize=None)
 def orbit_masks(ctx: Context) -> tuple[int, ...]:
-    """Bit masks of the 2n prime orbits, in canonical label order."""
-    return tuple(images_under(ctx, range(ctx.n)))
+    """Bit masks of the 2n prime orbits in label order, held on the context."""
+    masks = ctx._orbit_masks
+    if masks is None:
+        masks = ctx._orbit_masks = tuple(images_under(ctx, range(ctx.n)))
+    return masks
 
 
 def orbit_map(ctx: Context) -> dict[str, Minmatrix]:

@@ -19,13 +19,14 @@ holds at ``t`` exactly when some positive factor ``<>m_j`` of ``t`` has
 ``g(j) = i`` (an empty preimage gives ``<>0``, false everywhere).  So the
 image of a minterm is its fibre under ``phi_s``, images of distinct
 minterms are disjoint, and the image of a minmatrix ``m`` is
-``phi_s^{-1}(m)``; at level 0, ``phi_s = g``.  ``phi_s`` depends on ``e``
-only through a table of ``2**n`` entries, so one pass over the universe
-gives the image of a minmatrix (``apply_minmatrix``).  The prime orbit
-of a source depends only on how many fibres of ``g`` the factor states
-``e`` meet and whether they meet the section's own, so the coverage key
-is counted from the fibre sizes of ``g`` (``orbit.source_orbits``).
-Nothing is cached per substitution.
+``phi_s^{-1}(m)``.  ``phi_s`` depends on ``e`` only through a table of
+``2**n`` entries, so one pass over the sections gives the image of a
+minmatrix (``apply_minmatrix``).  Level 0 is the same rule with no
+factors: ``e`` is always 0, the table has one entry, and ``phi_s = g``.
+The prime orbit of a source depends only on how many fibres of ``g`` the
+factor states ``e`` meet and whether they meet the section's own, so the
+coverage key is counted from the fibre sizes of ``g``
+(``orbit.source_orbits``).  Nothing is cached per substitution.
 """
 
 from __future__ import annotations
@@ -113,45 +114,38 @@ def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
     return fm.substitute(f, reps.__getitem__)
 
 
-def _source_map(ctx: Context,
-                s: Substitution) -> tuple[tuple[int, ...], list[int] | None]:
-    """(g, img): phi_s sends a level-1 minterm (j, e) to (g[j], img[e]).
+def _source_map(ctx: Context, s: Substitution) -> tuple[tuple[int, ...], list[int]]:
+    """(g, img): phi_s sends a minterm (j, e) to (g[j], img[e]).
 
-    ``img[e]`` sets bit ``g(i)`` for every factor ``i`` positive in ``e``;
-    at level 0 there are no factors and ``img`` is None.
+    ``img[e]`` sets bit ``g(i)`` for every factor ``i`` positive in ``e``.
+    Level 0 is the case with no factors: ``e`` is always 0 and
+    ``img = [0]``.
     """
     if s.v != ctx.v:
         raise ValueError("substitution arity does not match the context")
-    g = s.g
     if ctx.d > 1:
         raise DegreeError("substitution application supports d <= 1")
-    if ctx.d == 0:
-        return g, None
     img = [0]
-    for gi in g:
-        # the e-values with the next factor <>m_i positive: each one
-        # without it, plus <>m_g(i)
-        img += [x | (1 << gi) for x in img]
-    return g, img
+    if ctx.d:
+        for gi in s.g:
+            # the e-values with the next factor <>m_i positive: each one
+            # without it, plus <>m_g(i)
+            img += [x | (1 << gi) for x in img]
+    return s.g, img
 
 
 def apply_minmatrix(m: Minmatrix, s: Substitution) -> Minmatrix:
     """The minterms whose source under ``s`` lies in ``m``: phi_s^-1(m)."""
     ctx = m.ctx
     g, img = _source_map(ctx, s)
+    shift, block = ctx.e_bits, (1 << len(img)) - 1
     bits = 0
-    if img is None:
-        for j, i in enumerate(g):
-            if (m.bits >> i) & 1:
-                bits |= 1 << j
-        return Minmatrix(ctx, bits)
-    n, block = ctx.n, (1 << len(img)) - 1
     rows: dict[int, int] = {}     # section i -> the e with (i, img[e]) in m
     for j, i in enumerate(g):
         if i not in rows:
-            row = (m.bits >> (i << n)) & block
+            row = (m.bits >> (i << shift)) & block
             rows[i] = sum(1 << e for e, x in enumerate(img) if (row >> x) & 1)
-        bits |= rows[i] << (j << n)
+        bits |= rows[i] << (j << shift)
     return Minmatrix(ctx, bits)
 
 

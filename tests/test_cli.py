@@ -246,6 +246,20 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 2 and "internal" in err
 
 
+def test_collapse_off_the_grid_exits_2(monkeypatch, capsys):
+    # a fixpoint whose orbit set names no coordinate is a bug: the CMM
+    # step refuses it before any output
+    import mmw.lattice
+    monkeypatch.setattr(mmw.lattice, "coord_of", lambda keep, n: None)
+    for argv in (("collapse", "--v", "1", "[]p->p"),
+                 ("collapse", "--v", "1", "--exhaustive", "[]p->p"),
+                 ("axiom", "--plane", "K", "--x", "0", "--y", "0", "--v", "1")):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("internal consistency failure: orbit set ["), argv
+
+
 def test_dot_format_only_on_lattice(capsys):
     # classify prints JSON only, so it refuses text as well
     for argv, fmt in ((("classify", "--v", "2"), "dot"),
@@ -315,7 +329,8 @@ def test_context_function_shadows_its_module():
     assert fresh("import mmw; print(isinstance(mmw.context(2, 1), mmw.Context))") == "True"
 
 
-# Every name ``mmw`` exported when it imported its submodules eagerly.
+# Every name ``mmw`` exports from its submodules: those it exported when it
+# imported them eagerly, less the function form of ``Minmatrix.is_theorem_K``.
 EXPORTS = {
     "context": ["CapExceededError", "Context", "DegreeError", "context", "enumerate_E"],
     "formula": ["Formula", "FormulaSyntaxError", "modal_degree", "parse", "render",
@@ -324,7 +339,7 @@ EXPORTS = {
                "valid_on_frame"],
     "lattice": ["CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
                 "coverage", "enumerate_cmms", "map_to_star"],
-    "minmatrix": ["ContextMismatchError", "Minmatrix", "is_theorem_K", "normalize"],
+    "minmatrix": ["ContextMismatchError", "Minmatrix", "normalize"],
     "orbit": ["PrimeOrbit", "compute_orbits", "orbit_closed_form", "orbit_of"],
     "substitution": ["Substitution", "apply_formula", "apply_minmatrix", "apply_minterm",
                      "classify", "compose", "critical_substitution", "enumerate_primes",
@@ -364,6 +379,11 @@ def test_deep_formula_exits_cleanly(argv):
     ("classify", "--v", "999999999999"),
     ("countermodel", "p29"),
     ("countermodel", "p999999999999"),
+    ("lattice", "--v", "999999999999"),
+    ("frames", "--correspondence", "--v", "999999999999", "--all-coords"),
+    ("axiom", "--plane", "K", "--x", "0", "--y", "0", "--v", "999999999999"),
+    ("collapse", "--v", "999999999999", "p"),
+    ("orbits", "--v", "999999999999"),
 ])
 def test_huge_variable_index_exits_cleanly(argv):
     # 1 << 999999999999 would take ~125 GB; the child's address space is

@@ -58,42 +58,40 @@ def test_cap_refuses_a_huge_variable_index():
                            "minterms, over the cap 2097152\n")
 
 
-def test_decode_examples():
+def test_split_examples():
     k11 = context(1, 1)
-    assert k11.decode(7) == (1, (1, 1))
-    assert k11.decode(0) == (0, (0, 0))
+    assert k11.split(7) == (1, 0b11)
+    assert k11.split(0) == (0, 0)
     k21 = context(2, 1)
-    assert k21.decode(56) == (3, (0, 0, 0, 1))
-    assert k21.encode(3, (0, 0, 0, 1)) == 56
+    s, e = k21.split(56)
+    assert (s, e) == (3, 0b1000)
+    assert e.bit_count() == 1               # Ddd, first column
+    assert k21.split(63)[1].bit_count() == 4   # Dww3 column in section 3
+    assert context(1, 2).split(511) == (1, 0xff)
 
 
-def test_decode_requires_d1():
+def test_split_rejects_level0():
     with pytest.raises(DegreeError):
-        context(2, 0).decode(1)
-    with pytest.raises(DegreeError):
-        context(1, 2).decode(1)
+        context(2, 0).split(1)
 
 
-def test_decode_encode_roundtrip():
-    ctx = context(2, 1)
-    for idx in range(ctx.universe_size):
-        s, eps = ctx.decode(idx)
-        assert ctx.encode(s, eps) == idx
-
-
-def test_chi():
-    k11 = context(1, 1)
-    assert k11.chi(7) == 2
-    k21 = context(2, 1)
-    assert k21.chi(56) == 1          # Ddd, first column
-    assert k21.chi(63) == 4          # Dww3 column in section 3
-    with pytest.raises(DegreeError):
-        context(2, 0).chi(0)
+def test_split_round_trip():
+    # index = s * 2**E + e, with bit i of e the state of <>mu_i
+    for v, d in ((0, 1), (1, 1), (2, 1), (1, 2)):
+        ctx = context(v, d)
+        for idx in range(ctx.universe_size):
+            s, e = ctx.split(idx)
+            assert 0 <= e < 1 << ctx.e_bits and 0 <= s < ctx.n
+            assert (s << ctx.e_bits) | e == idx
+            assert [(e >> i) & 1 for i in range(ctx.e_bits)] == \
+                [int(bool(ctx.factor_mask(i) >> idx & 1)) for i in range(ctx.e_bits)]
 
 
 def test_minterm_index_range_checked():
     with pytest.raises(ValueError):
-        context(1, 1).decode(8)
+        context(1, 1).minterm_formula(8)
+    with pytest.raises(ValueError):
+        context(1, 1).factor_states(-1)
 
 
 def test_factor_labels():

@@ -13,8 +13,8 @@ from mmw.context import context
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
 from mmw.lattice import (CMM, STAR, InternalConsistencyError, SystemCoord,
-                         build_hasse, cmm_from_coords, collapse, coord_of, coverage,
-                         dependency_rules_hold, enumerate_cmms, map_to_star,
+                         build_hasse, cmm_from_coords, cmm_of, collapse, coord_of,
+                         coverage, dependency_rules_hold, enumerate_cmms, map_to_star,
                          surviving_orbit_sums)
 from mmw.orbit import (complete_orbits, coord_orbits, images_under, label_order,
                        labels_of, orbit_map, orbit_masks, orbit_union, source_orbits)
@@ -295,6 +295,18 @@ def test_collapse_default_equals_exhaustive(rng):
         for _ in range(40):
             m = random_minmatrix(rng, v, 1)
             assert collapse(m) == collapse(m, subs)
+
+
+def test_cmm_of_exhaustive_equals_default(rng):
+    # the same CMM, coordinate and orbit set, under every substitution
+    for v in (0, 1, 2):
+        subs = all_substitutions(v)
+        for _ in range(40 if v else 8):
+            m = random_minmatrix(rng, v, 1)
+            cmm = cmm_of(m)
+            assert cmm_of(m, subs) == cmm
+            assert cmm.orbits == complete_orbits(collapse(m))
+            assert cmm.coord == coord_of(cmm.orbits, 1 << v)
 
 
 def test_first_variable_transplant_is_too_weak():

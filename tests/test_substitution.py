@@ -38,10 +38,11 @@ def reference_minterm_images(ctx, s):
     n = ctx.n
     if ctx.d == 0:
         return [sum(1 << j for j in range(n) if g[j] == i) for i in range(n)]
+    section = (1 << (1 << ctx.e_bits)) - 1      # the minterms of section 0
     pre = [0] * n
     pos = [0] * n
     for j, i in enumerate(g):
-        pre[i] |= ctx.section_mask(j)
+        pre[i] |= section << (j << ctx.e_bits)
         pos[i] |= ctx.factor_mask(j)
     neg = [ctx.full ^ m for m in pos]
     images = []
