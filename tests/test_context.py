@@ -58,16 +58,25 @@ def test_cap_refuses_a_huge_variable_index():
                            "minterms, over the cap 2097152\n")
 
 
-def test_split_examples():
+def test_decode_examples():
+    # Context.split decodes an index into (section s, e-bits)
     k11 = context(1, 1)
     assert k11.split(7) == (1, 0b11)
     assert k11.split(0) == (0, 0)
     k21 = context(2, 1)
-    s, e = k21.split(56)
-    assert (s, e) == (3, 0b1000)
-    assert e.bit_count() == 1               # Ddd, first column
-    assert k21.split(63)[1].bit_count() == 4   # Dww3 column in section 3
+    assert k21.split(56) == (3, 0b1000)
+    assert (3 << k21.e_bits) | 0b1000 == 56
     assert context(1, 2).split(511) == (1, 0xff)
+
+
+def test_chi():
+    # the number of possible factors is the popcount of split's e-bits
+    assert context(1, 1).split(7)[1].bit_count() == 2
+    k21 = context(2, 1)
+    assert k21.split(56)[1].bit_count() == 1     # Ddd, first column
+    assert k21.split(63)[1].bit_count() == 4     # Dww3 column in section 3
+    with pytest.raises(DegreeError):
+        context(2, 0).split(0)
 
 
 def test_split_rejects_level0():
