@@ -24,8 +24,12 @@ direct recursion over the formula) otherwise; the walk, ``_falsify``, is
 the oracle the structural rule is tested against.
 ``correspondence_check`` takes the table of the coordinate's CMM: frame
 validity is closed under substitution, so an axiom and its collapse are
-valid on the same frames.  The frame condition F(x, y) is read off the
-coordinate's image in the assembled lattice (``map_to_star``).
+valid on the same frames.  The frame condition F(x, y), read off the
+coordinate's image in the assembled lattice (``map_to_star``), is a
+predicate of the same world type with k uncapped, so the check tabulates
+it too, for k below the world bound.  Both predicates are read per world
+type, but the frame scan stays as the check: every frame is built and
+each of its worlds' types is read once against both tables.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class Frame(Record):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[int, ...]):
+    def __init__(self, rows):
+        rows = tuple(rows)
         if len(rows) < 1:
             raise ValueError("a frame needs at least one world")
         limit = 1 << len(rows)
@@ -82,7 +87,8 @@ class Model(Record):
 
     __slots__ = ("frame", "v", "assignment")
 
-    def __init__(self, frame: Frame, v: int, assignment: tuple[int, ...]):
+    def __init__(self, frame: Frame, v: int, assignment):
+        assignment = tuple(assignment)
         n = 1 << v
         if len(assignment) != frame.size:
             raise ValueError("one minterm per world required")
@@ -200,21 +206,25 @@ def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
     return None
 
 
-def condition_holds_at(fr: Frame, w: int, star: SystemCoord) -> bool:
-    """The frame condition F(x, y) of a star coordinate at world w.
+def _condition_of_type(loop: int, others: int, star: SystemCoord) -> bool:
+    """The frame condition F(x, y) of a star coordinate at one world type.
 
-    An irreflexive world satisfies the C branch when it sees at most x
-    other worlds (the D plane adds "at least one"); a reflexive world
-    satisfies the W branch when it sees at most y others.  STAR removes
-    the upper bound and y = -1 makes the W branch unsatisfiable.
+    An irreflexive world (``loop`` 0) satisfies the C branch when it sees
+    at most x other worlds (the D plane adds "at least one"); a reflexive
+    world satisfies the W branch when it sees at most y others.  STAR
+    removes the upper bound and y = -1 makes the W branch unsatisfiable.
     """
-    row = fr.rows[w]
-    loop = (row >> w) & 1
-    others = row.bit_count() - loop
     if loop:
         return star.y == STAR or others <= star.y
     lower = 1 if star.plane == "D" else 0
     return others >= lower and (star.x == STAR or others <= star.x)
+
+
+def condition_holds_at(fr: Frame, w: int, star: SystemCoord) -> bool:
+    """F(x, y) of a star coordinate at world w of ``fr``."""
+    row = fr.rows[w]
+    loop = (row >> w) & 1
+    return _condition_of_type(loop, row.bit_count() - loop, star)
 
 
 def frame_condition_holds(fr: Frame, star: SystemCoord) -> bool:
@@ -257,9 +267,11 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be at least 1, not {sample}")
-    table = type_table(cmm_from_coords(coord, v).orbits, 1 << v)
-    star = map_to_star(coord, v)
     n = 1 << v
+    table = type_table(cmm_from_coords(coord, v).orbits, n)
+    star = map_to_star(coord, v)
+    condition = tuple(tuple(_condition_of_type(loop, others, star)
+                            for others in range(max_worlds)) for loop in (0, 1))
     rng = random.Random(seed)
     checked = 0
     violations = []
@@ -271,8 +283,14 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
             rels = range(total)
         for rel in rels:
             fr = Frame.from_relation(size, rel)
-            valid = _valid_by_types(fr, table, n)
-            holds = frame_condition_holds(fr, star)
+            valid = holds = True
+            for w, row in enumerate(fr.rows):
+                loop = (row >> w) & 1
+                others = row.bit_count() - loop
+                valid = valid and table[loop][min(others, n)]
+                holds = holds and condition[loop][others]
+                if not (valid or holds):
+                    break
             checked += 1
             if valid != holds:
                 violations.append({"worlds": size, "relation": rel,

@@ -163,14 +163,16 @@ def test_criterion_8_correspondence():
                 assert type_table(complete_orbits(normalize(a, ctx)), ctx.n) == want, \
                     (str(c.coord), v)
                 tables += 1
-    checked = 0
-    for v in (1, 2):
+    checked = {}
+    for v in (1, 2, 3):
         for c in enumerate_cmms(v):
             rep = correspondence_check(v, c.coord, max_worlds=3)
             assert rep.ok, (str(c.coord), rep.violations[:3])
-            checked += rep.frames_checked
+            checked[v] = checked.get(v, 0) + rep.frames_checked
+    assert checked[3] == 88 * (2 + 16 + 512) == 46640
     print(f"ACCEPTANCE 8 PASS: axiom validity == frame condition on all "
-          f"{checked} (coordinate, frame) pairs with |W| <= 3, v in {{1,2}}; "
+          f"{sum(checked.values())} (coordinate, frame) pairs with |W| <= 3, "
+          f"v in {{1,2,3}} ({checked[3]} at v=3 over 88 coordinates); "
           f"{tables} alpha/alpha' type tables equal their CMM's for v <= 3")
 
 

@@ -9,7 +9,9 @@ were taken at commit 0a0f86b, before substitutions were stored as their
 level-0 maps.  The four ``countermodel`` digests and the two ``frames
 --correspondence`` text digests were taken at commit a2c00c9, before
 ``valid_on_frame`` lost its ``method`` option and ``FrameCondition`` was
-read off the star coordinate.
+read off the star coordinate.  The ``frames --correspondence --v 3``
+digest was taken at commit 078a108, before the frame condition was read
+from a per-type table.
 A command given as ``("axiom", ...)`` inside another command's argv is
 replaced by the first line that the ``axiom`` command prints (its
 defining formula), which reaches coordinates in the middle of the
@@ -88,6 +90,8 @@ GOLDEN = {
         "c813a308e8d2e36e7220f0dfc7278354be37c83441b50d838eeb9ba1db6b690d",
     ("frames", "--correspondence", "--v", "2", "--all-coords"):
         "cc3d683d69257dc85b0f2265f03586e71afe1be1a42d3c2bd35730b58a158569",
+    ("frames", "--correspondence", "--v", "3", "--all-coords", "--format", "json"):
+        "93ac5d3fa626fe7be57276f2f573e4f272ae55889abdc814d4838bac68a2990b",
 }
 
 

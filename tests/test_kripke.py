@@ -5,7 +5,9 @@ import pytest
 
 from conftest import random_formula
 
+import mmw.kripke
 from mmw.axiom import alpha_for, alpha_K
+from mmw.cli import main
 from mmw.context import context
 from mmw.formula import Box, Not, Or, parse, variables
 from mmw.kripke import (Frame, Model, _falsify, condition_holds_at,
@@ -203,6 +205,66 @@ def test_correspondence_sampling_is_deterministic():
     a = correspondence_check(1, SystemCoord("D", 0, STAR), 4, sample=40, seed=9)
     b = correspondence_check(1, SystemCoord("D", 0, STAR), 4, sample=40, seed=9)
     assert a == b and a.ok
+
+
+# A coordinate checked against the star of another: the axiom of
+# S_D(0,*) (reflexive frames) fails on serial frames that the condition of
+# S_D(*,*) accepts, and the reverse pair fails the other way.
+WRONG_STARS = [(SystemCoord("D", 0, STAR), SystemCoord("D", STAR, STAR)),
+               (SystemCoord("D", STAR, STAR), SystemCoord("D", 0, STAR))]
+
+
+def _reference_check(v, coord, star, max_worlds, sample=None, seed=0):
+    """``correspondence_check``'s frames and violations, frame by frame.
+
+    Each frame is checked with ``valid_on_frame`` on the coordinate's
+    axiom and with ``frame_condition_holds`` on ``star``; the frames come
+    in the order ``correspondence_check`` draws them.
+    """
+    alpha = alpha_for(coord, v)
+    rng = random.Random(seed)
+    checked = 0
+    violations = []
+    for size in range(1, max_worlds + 1):
+        total = 1 << (size * size)
+        if sample is not None and total > sample:
+            rels = sorted(rng.sample(range(total), sample))
+        else:
+            rels = range(total)
+        for rel in rels:
+            fr = Frame.from_relation(size, rel)
+            valid = valid_on_frame(fr, alpha, v)
+            holds = frame_condition_holds(fr, star)
+            checked += 1
+            if valid != holds:
+                violations.append({"worlds": size, "relation": rel,
+                                   "axiom_valid": valid, "condition_holds": holds})
+    return checked, violations
+
+
+@pytest.mark.parametrize("coord,star", WRONG_STARS, ids=str)
+@pytest.mark.parametrize("max_worlds,sample,seed", [(3, None, 0), (4, 150, 11)],
+                         ids=["all-3-worlds", "sampled-4-worlds"])
+def test_correspondence_violations_match_reference(monkeypatch, coord, star,
+                                                   max_worlds, sample, seed):
+    monkeypatch.setattr(mmw.kripke, "map_to_star", lambda c, v: star)
+    rep = correspondence_check(1, coord, max_worlds, sample=sample, seed=seed)
+    checked, violations = _reference_check(1, coord, star, max_worlds, sample, seed)
+    assert violations and not rep.ok
+    assert rep.frames_checked == checked
+    assert list(rep.violations) == violations
+
+
+def test_frames_cli_reports_violations(monkeypatch, capsys):
+    coord, star = WRONG_STARS[0]
+    monkeypatch.setattr(mmw.kripke, "map_to_star", lambda c, v: star)
+    _, violations = _reference_check(1, coord, star, 3)
+    code = main(["frames", "--correspondence", "--v", "1", "--plane", "D",
+                 "--x", "0", "--y", "*"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == f"S_D(0,*): 530 frames, {len(violations)} VIOLATIONS\n"
+    assert err == f"{len(violations)} correspondence violations\n"
 
 
 def test_countermodel_T():

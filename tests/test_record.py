@@ -100,6 +100,18 @@ def test_defaults_and_type_sensitive_equality():
     assert len({fm.Const0(), fm.Const1(), fm.Const0()}) == 2
 
 
+@pytest.mark.parametrize("from_list,from_tuple", [
+    (lambda: Frame([2, 1]), lambda: Frame((2, 1))),
+    (lambda: Model(Frame([1]), 1, [0]), lambda: Model(Frame((1,)), 1, (0,))),
+    (lambda: Substitution(1, [1, 0]), lambda: Substitution(1, (1, 0))),
+], ids=["Frame", "Model", "Substitution"])
+def test_sequence_fields_stored_as_tuples(from_list, from_tuple):
+    # a list argument is stored as a tuple, so the value equals and hashes
+    # like the one built from a tuple
+    a, b = from_list(), from_tuple()
+    assert a == b and hash(a) == hash(b)
+
+
 @pytest.mark.parametrize("build", [
     lambda: Frame(()),                          # no worlds
     lambda: Frame((2,)),                        # row out of range
