@@ -7,7 +7,8 @@ class Record:
     """Base of an immutable value class whose fields are its ``__slots__``.
 
     A subclass sets its fields in its own ``__init__`` with
-    ``object.__setattr__``.  Instances are equal only to instances of the
+    ``object.__setattr__`` (``Minmatrix``, built most often, through its
+    slots' own descriptors).  Instances are equal only to instances of the
     same class with equal fields, hash as the tuple of their fields and
     print as ``Name(field=value, ...)``.
     """

@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="substitution classes of S(v,0)")
     p.add_argument("--v", type=int, required=True)
 
-    p = add("frames", cmd_frames, help="Kripke frame correspondence checks")
+    p = add("frames", cmd_frames,
+            help="Kripke frame correspondence checks (at most 6 worlds and "
+                 "131072 frames per coordinate, a sampled size counting --sample)")
     p.add_argument("--correspondence", action="store_true")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--plane", choices=("K", "D"))

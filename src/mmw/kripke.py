@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 WORLD_CAP = 6
+# Frames one ``correspondence_check`` may scan: every frame up to 4 worlds
+# (66,066) fits, all 5-world frames (2**25) do not.
+FRAME_CAP = 1 << 17
 
 
 class Frame(Record):
@@ -261,12 +264,21 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     Checks every labeled digraph up to ``max_worlds`` worlds (or a random
     sample per size when ``sample`` is given): the coordinate's axiom is
     valid on the frame iff the star-mapped condition holds at all worlds.
-    A bound below 1 would check no frame, so it is refused.
+    A bound below 1 would check no frame, so it is refused; so are more
+    than ``WORLD_CAP`` worlds and more than ``FRAME_CAP`` frames, counting
+    each size in full when it is checked exhaustively and ``sample`` when
+    it is sampled.
     """
     if max_worlds < 1:
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
+    if max_worlds > WORLD_CAP:
+        raise ValueError(f"max_worlds {max_worlds} is over the cap {WORLD_CAP}")
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be at least 1, not {sample}")
+    totals = [1 << (size * size) for size in range(1, max_worlds + 1)]
+    frames = sum(total if sample is None else min(total, sample) for total in totals)
+    if frames > FRAME_CAP:
+        raise ValueError(f"{frames} frames to check, over the cap {FRAME_CAP}")
     n = 1 << v
     table = type_table(cmm_from_coords(coord, v).orbits, n)
     star = map_to_star(coord, v)
@@ -275,8 +287,7 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     rng = random.Random(seed)
     checked = 0
     violations = []
-    for size in range(1, max_worlds + 1):
-        total = 1 << (size * size)
+    for size, total in enumerate(totals, 1):
         if sample is not None and total > sample:
             rels = sorted(rng.sample(range(total), sample))
         else:

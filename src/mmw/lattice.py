@@ -95,15 +95,15 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
     group keeps exactly the complete prime orbits inside xi, and the image
     of a union of orbits is the union of their images, so the fixpoint
     keeps the complete orbits that the critical images of the kept orbits
-    cover.  Whether orbit j is covered depends only on whether orbits j-2
-    and j-1 are kept (``_cover_patterns``), so one ascending pass over the
-    2n orbit positions decides each orbit once: first its cover, then, only
-    if covered, its completeness in xi.  The pass stops once orbits j-2
-    and j-1 are both out and no orbit from j up is covered without kept
-    predecessors, so its cost grows with what survives.
+    cover.  One ascending pass (``_kept_orbits``) decides each orbit once;
+    ``m`` itself is returned when it keeps every minterm.
     """
     if subs is None:
-        return _collapse_default(m)
+        if m.ctx.d == 0:
+            # One orbit: anything short of [1] collapses to [0].
+            return m if m.is_theorem_K() else Minmatrix.empty(m.ctx)
+        kept = _kept_orbits(m)[1]
+        return m if kept == m.bits else Minmatrix(m.ctx, kept)
     bits = m
     while True:
         prev = bits
@@ -115,21 +115,46 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
             return bits
 
 
-def _collapse_default(m: Minmatrix) -> Minmatrix:
+def _kept_orbits(m: Minmatrix) -> tuple[int, int]:
+    """The orbit set and the bits the default collapse of ``m`` keeps (d = 1).
+
+    Whether orbit j is covered depends only on whether orbits j-2 and j-1
+    are kept (``_cover_patterns``), so one ascending pass over the context's
+    step table (``_collapse_steps``) decides each orbit once: first its
+    cover, then, only if covered, its completeness in ``m``.  The pass
+    stops once orbits j-2 and j-1 are both out and no orbit from j up is
+    covered without kept predecessors, so its cost grows with what survives.
+    """
     ctx = m.ctx
-    if ctx.d == 0:
-        # One orbit: anything short of [1] collapses to [0].
-        return m if m.is_theorem_K() else Minmatrix.empty(ctx)
+    steps = ctx._collapse_steps or _collapse_steps(ctx)
+    bits = m.bits
+    keep = kept = pattern = 0       # pattern: orbit j-2 kept (1), j-1 kept (2)
+    for bit, mask, covered, alone in steps:
+        if not (pattern or alone):
+            break
+        if covered[pattern] and bits & mask == mask:
+            keep |= bit
+            kept |= mask
+            pattern = pattern >> 1 | 2
+        else:
+            pattern >>= 1
+    return keep, kept
+
+
+def _collapse_steps(ctx: Context) -> tuple[tuple[int, int, tuple[bool, ...], bool], ...]:
+    """The default pass's table for ``ctx`` (d = 1), built once and held on it.
+
+    Entry j is (1 << j, the mask of orbit j, whether each of the four
+    predecessor patterns covers orbit j, whether some orbit from j up is
+    covered with no kept predecessor).
+    """
+    masks = orbit_masks(ctx)
     patterns = _cover_patterns(ctx.v)
     alone = patterns[0]
-    missing, keep, bits = ctx.full ^ m.bits, 0, 0
-    for j, mask in enumerate(orbit_masks(ctx)):
-        if not keep << 2 >> j & 3 and not alone >> j:
-            break           # orbits j-2 and j-1 are out: none from j up is covered
-        if _covers(keep, j, patterns) and not missing & mask:
-            keep |= 1 << j
-            bits |= mask
-    return Minmatrix(ctx, bits)
+    ctx._collapse_steps = steps = tuple(
+        (1 << j, mask, tuple(bool(p >> j & 1) for p in patterns), alone >> j != 0)
+        for j, mask in enumerate(masks))
+    return steps
 
 
 def _covers(keep: int, j: int, patterns: tuple[int, int, int, int]) -> int:
@@ -192,6 +217,8 @@ def coord_of(keep: int, n: int) -> SystemCoord | None:
 
 def cmm_of(m: Minmatrix, subs=None) -> CMM:
     """The CMM that ``m`` collapses to under ``subs`` (the default set if None)."""
+    if subs is None:
+        return _cmm(m.ctx, _kept_orbits(m)[0])
     return _cmm(m.ctx, complete_orbits(collapse(m, subs)))
 
 

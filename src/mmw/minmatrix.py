@@ -32,8 +32,8 @@ class Minmatrix(Record):
     __slots__ = ("ctx", "bits")
 
     def __init__(self, ctx: Context, bits: int):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "bits", bits)
+        _set_ctx(self, ctx)
+        _set_bits(self, bits)
 
     # -- construction ------------------------------------------------------
 
@@ -160,6 +160,12 @@ class Minmatrix(Record):
                 rule = "-" * width + "-+-" + "-" * (len(" ".join(cells)))
                 lines.append(rule)
         return "\n".join(lines)
+
+
+# The slot setters, bound once: they skip Record.__setattr__, which refuses
+# assignment, and the lookup object.__setattr__ does on each call.
+_set_ctx = Minmatrix.ctx.__set__
+_set_bits = Minmatrix.bits.__set__
 
 
 # Node kinds of the subterm table: leaves, then unary, then binary nodes.

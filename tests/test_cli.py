@@ -232,6 +232,14 @@ def test_vacuous_bounds_exit_1(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
 
+def test_frames_over_the_cap_exit_1(capsys):
+    # all 2**36 six-world frames would take more than a day: one error line instead
+    code, out, err = run(capsys, "frames", "--correspondence", "--v", "1", "--plane", "D",
+                         "--x", "0", "--y", "*", "--max-worlds", "6")
+    assert (code, out) == (1, "")
+    assert err == "error: 68753097234 frames to check, over the cap 131072\n"
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     from mmw.lattice import InternalConsistencyError
     import mmw.cli as cli

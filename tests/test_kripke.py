@@ -207,6 +207,34 @@ def test_correspondence_sampling_is_deterministic():
     assert a == b and a.ok
 
 
+@pytest.mark.parametrize("max_worlds,sample,err", [
+    (7, 3, "max_worlds 7 is over the cap 6"),
+    (6, None, "68753097234 frames to check, over the cap 131072"),
+    (5, None, "33620498 frames to check, over the cap 131072"),
+    (6, 50000, "150530 frames to check, over the cap 131072"),
+])
+def test_correspondence_refuses_over_the_cap_before_building_tables(
+        monkeypatch, max_worlds, sample, err):
+    def refuse(*args):
+        raise AssertionError("table built for a refused check")
+    monkeypatch.setattr(mmw.kripke, "type_table", refuse)
+    monkeypatch.setattr(mmw.kripke, "_condition_of_type", refuse)
+    with pytest.raises(ValueError) as exc:
+        correspondence_check(1, SystemCoord("D", 0, STAR), max_worlds, sample=sample)
+    assert str(exc.value) == err
+
+
+@pytest.mark.parametrize("max_worlds,sample,frames", [
+    (4, None, 66066),       # every frame up to 4 worlds
+    (4, 48, 114),           # the frames workload's sampled check
+    (4, 200, 418),          # the README command
+    (6, 40, 178),
+])
+def test_correspondence_cap_admits(max_worlds, sample, frames):
+    rep = correspondence_check(1, SystemCoord("D", 0, STAR), max_worlds, sample=sample)
+    assert rep.ok and rep.frames_checked == frames
+
+
 # A coordinate checked against the star of another: the axiom of
 # S_D(0,*) (reflexive frames) fails on serial frames that the condition of
 # S_D(*,*) accepts, and the reverse pair fails the other way.

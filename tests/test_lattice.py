@@ -9,7 +9,7 @@ from conftest import random_minmatrix
 from test_substitution import reference_apply, reference_minterm_images
 
 import mmw.lattice
-from mmw.context import context
+from mmw.context import Context, DegreeError, context
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
 from mmw.lattice import (CMM, STAR, InternalConsistencyError, SystemCoord,
@@ -226,23 +226,61 @@ def test_collapse_pass_matches_round_loop_v4(rng):
 
 
 def test_collapse_pass_stops_after_the_kept_orbits(monkeypatch):
-    # the pass reads the mask of orbit j, then stops when orbits j-2 and
+    # the pass reads the step of orbit j, then stops when orbits j-2 and
     # j-1 are out and no orbit from j up is covered alone (from Dc1 up)
     ctx = context(4, 1)
-    masks = orbit_masks(ctx)
+    steps = mmw.lattice._collapse_steps(ctx)
     read = [0]
 
-    def counted(c):
-        for mask in masks:
-            read[0] += 1
-            yield mask
-    monkeypatch.setattr(mmw.lattice, "orbit_masks", counted)
+    class Counted:
+        def __iter__(self):
+            for step in steps:
+                read[0] += 1
+                yield step
+    monkeypatch.setattr(ctx, "_collapse_steps", Counted())
     # F (stop at Dc1); Vv0+Dd0 (at Dc2); Vv0+Dd0+Dw1 (at Dc3); every orbit
     for keep, want in ((0, 3), (0b11, 5), (0b1011, 7), ((1 << 32) - 1, 32)):
         read[0] = 0
         m = orbit_union(ctx, keep)
         assert collapse(m) == m
         assert read[0] == want, keep
+
+
+def test_cmm_of_equals_the_collapse_then_complete_orbits_path(rng):
+    # the kept set of the default pass against the old two steps: every
+    # orbit sum at v <= 2, then seeded orbit sums at v = 3 and 4, half of
+    # them with one minterm flipped (no longer orbit sums)
+    def two_step(m):
+        return mmw.lattice._cmm(m.ctx, complete_orbits(collapse(m)))
+
+    for v in (0, 1, 2):
+        for _, m in orbit_sums(v):
+            assert cmm_of(m) == two_step(m)
+    for v in (3, 4):
+        ctx = context(v, 1)
+        for i in range(2000):
+            m = orbit_union(ctx, rng.getrandbits(2 * ctx.n))
+            if i % 2:
+                m = Minmatrix(ctx, m.bits ^ 1 << rng.randrange(ctx.universe_size))
+            assert cmm_of(m) == two_step(m), (v, i)
+    with pytest.raises(DegreeError):
+        cmm_of(Minmatrix.full(context(1, 0)))
+
+
+def test_collapse_builds_the_step_table_once_per_context(monkeypatch):
+    built = []
+
+    def counted(ctx):
+        built.append(ctx)
+        return build(ctx)
+    build = mmw.lattice._collapse_steps
+    monkeypatch.setattr(mmw.lattice, "_collapse_steps", counted)
+    ctx = Context(3, 1)                 # not the shared context(3, 1)
+    a, b = orbit_union(ctx, 0b11), orbit_union(ctx, 0b101)    # Vv0+Dc1 keeps Vv0
+    assert collapse(a) is a
+    assert collapse(b) == orbit_union(ctx, 0b1)
+    assert cmm_of(b).orbits == 0b1
+    assert built == [ctx]
 
 
 def reference_cover_patterns(v):
