@@ -32,6 +32,12 @@ def _print_minmatrix(m, fmt: str) -> None:
         print(m.render_matrix())
 
 
+def _orbit_names(labels, v: int) -> str:
+    """Orbit labels as the context names them, joined by '+', or '(empty)'."""
+    from .orbit import display_label
+    return "+".join(display_label(l, v) for l in labels) or "(empty)"
+
+
 def cmd_normalize(args) -> int:
     from .context import context
     from .formula import parse
@@ -47,7 +53,7 @@ def cmd_collapse(args) -> int:
     from .formula import parse
     from .lattice import cmm_of
     from .minmatrix import normalize
-    from .orbit import display_label, labels_of
+    from .orbit import labels_of
     from .substitution import all_substitutions
     ctx = context(args.v, 1)
     m = normalize(parse(args.formula), ctx)
@@ -63,8 +69,7 @@ def cmd_collapse(args) -> int:
         print(json.dumps(doc))
     else:
         print(result.render_matrix())
-        names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
-        print(f"orbits: [{names}]")
+        print(f"orbits: [{_orbit_names(labels, args.v)}]")
         print(f"coordinate: {cmm.coord}")
     return 0
 
@@ -100,7 +105,7 @@ def _label_key(label: str) -> tuple[str, int]:
 
 def cmd_lattice(args) -> int:
     from .lattice import enumerate_cmms, map_to_star
-    from .orbit import display_label, labels_of
+    from .orbit import labels_of
     if args.format == "dot":
         print(_lattice_dot(args.v))
         return 0
@@ -124,9 +129,8 @@ def cmd_lattice(args) -> int:
                         "orbits": labels, "name": name,
                         "minterms": list(c.matrix.members())})
         else:
-            names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
             tag = f"  ({name})" if name else ""
-            print(f"{c.coord}  ->  {star}  [{names}]{tag}")
+            print(f"{c.coord}  ->  {star}  [{_orbit_names(labels, args.v)}]{tag}")
     if args.format == "json":
         import json
         print(json.dumps(out))
@@ -161,7 +165,7 @@ def cmd_axiom(args) -> int:
     from .formula import render
     from .lattice import SystemCoord, cmm_of
     from .minmatrix import normalize
-    from .orbit import display_label, labels_of
+    from .orbit import labels_of
     coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
     axiom = alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
@@ -174,8 +178,7 @@ def cmd_axiom(args) -> int:
         print(json.dumps(doc))
     else:
         print(render(axiom))
-        names = "+".join(display_label(l, args.v) for l in labels) or "(empty)"
-        print(f"CMM orbits: [{names}]")
+        print(f"CMM orbits: [{_orbit_names(labels, args.v)}]")
     return 0
 
 
@@ -183,7 +186,7 @@ def cmd_system_of(args) -> int:
     from .axiom import system_of
     from .formula import parse
     from .lattice import cmm_from_coords
-    from .orbit import display_label, labels_of
+    from .orbit import labels_of
     coord, origin = system_of(parse(args.formula))
     labels = labels_of(cmm_from_coords(coord, origin).orbits, 1 << origin)
     name = _registry_name(coord)
@@ -194,8 +197,7 @@ def cmd_system_of(args) -> int:
     else:
         print(f"coordinate: {coord}")
         print(f"origin context: K[{origin},1]")
-        names = "+".join(display_label(l, origin) for l in labels) or "(empty)"
-        print(f"orbits: [{names}]")
+        print(f"orbits: [{_orbit_names(labels, origin)}]")
         if name:
             print(f"named system: {name}")
     return 0

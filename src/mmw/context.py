@@ -71,10 +71,8 @@ class Context:
         self.full = (1 << size) - 1
         self._factor_masks: list[int] | None = None
         self._var_masks: list[int] | None = None
-        # the prime orbits' masks at d = 1, filled by ``orbit.orbit_masks``,
-        # and the default collapse pass's step table, by ``lattice._collapse_steps``
+        # the prime orbits' masks at d = 1, filled by ``orbit.orbit_masks``
         self._orbit_masks: tuple[int, ...] | None = None
-        self._collapse_steps: tuple[tuple, ...] | None = None
 
     def __repr__(self) -> str:
         return f"K[{self.v},{self.d}]"

@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 WORLD_CAP = 6
-# Frames one ``correspondence_check`` may scan: every frame up to 4 worlds
-# (66,066) fits, all 5-world frames (2**25) do not.
+# Frames one ``correspondence_check`` or ``find_countermodel`` may scan:
+# every frame up to 4 worlds (66,066) fits, all 5-world frames (2**25) do not.
 FRAME_CAP = 1 << 17
 
 
@@ -317,15 +317,21 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3):
     For degree <= 1 the frames that ``type_table`` shows valid are
     skipped, and valuations are enumerated only on the first frame that
     is not; such a formula needs K[v,1], v = max(variables(f), 1), under
-    the cap (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is refused.
+    the cap (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is
+    refused, and so is a search past ``FRAME_CAP`` frames with no witness.
     """
     if max_worlds < 1:
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap
     table = _types_of(f, v, n)
+    scanned = 0
     for size in range(1, max_worlds + 1):
         for fr in iter_frames(size):
+            scanned += 1
+            if scanned > FRAME_CAP:
+                raise ValueError(f"no countermodel in {FRAME_CAP} frames; the "
+                                 f"{size}-world frames go over the cap {FRAME_CAP}")
             if table is not None and _valid_by_types(fr, table, n):
                 continue
             hit = _falsify(fr, f, v, n)

@@ -2,11 +2,15 @@
 
 A candidate minmatrix collapses under a substitution when intersecting
 with its image strictly shrinks it; a CMM is immune to every level-0
-substitution.  The invertible substitutions alone trim a candidate to
-its complete prime orbits, and one critical substitution then enforces
-the dependency rules between orbits (DR1-DR3), so the default collapse
-set is the primes plus one critical substitution.  Exhaustive mode (all
-n**n substitutions, v <= 2) exists as the validating oracle.
+substitution.  The default set is the primes, which trim a candidate to
+its complete prime orbits, plus one critical substitution, which
+enforces the dependency rules between orbits (DR1-DR3); all n**n
+substitutions (v <= 2) are the validating oracle.  The default set's
+fixpoints are the unions of coordinate orbit sets, which are closed
+under union (the paper's lattice result; the census
+``surviving_orbit_sums`` derives it again from the critical
+substitution), so the default collapse of a candidate keeps the largest
+coordinate set inside it and applies no substitution.
 
 A CMM is a coordinate plus its 2n-bit orbit set (``mmw.orbit``); the
 census, Hasse edges, join and meet are arithmetic on orbit sets.
@@ -90,13 +94,10 @@ class CMM(Record):
 def collapse(m: Minmatrix, subs=None) -> Minmatrix:
     """Greatest fixpoint of xi -> xi & (xi o sigma) over the substitutions.
 
-    With ``subs=None`` the default set (primes plus one critical
-    substitution) is used in orbit space: closure under the whole prime
-    group keeps exactly the complete prime orbits inside xi, and the image
-    of a union of orbits is the union of their images, so the fixpoint
-    keeps the complete orbits that the critical images of the kept orbits
-    cover.  One ascending pass (``_kept_orbits``) decides each orbit once;
-    ``m`` itself is returned when it keeps every minterm.
+    The map only shrinks xi and keeps each fixpoint below xi, so the rounds
+    end at the greatest fixpoint below ``m``.  With ``subs=None`` that is
+    the largest coordinate set of orbits inside ``m`` (``_kept_orbits``),
+    and ``m`` itself is returned when it keeps every minterm.
     """
     if subs is None:
         if m.ctx.d == 0:
@@ -116,45 +117,32 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
 
 
 def _kept_orbits(m: Minmatrix) -> tuple[int, int]:
-    """The orbit set and the bits the default collapse of ``m`` keeps (d = 1).
+    """The orbit set and the bits of the largest coordinate set inside ``m`` (d = 1).
 
-    Whether orbit j is covered depends only on whether orbits j-2 and j-1
-    are kept (``_cover_patterns``), so one ascending pass over the context's
-    step table (``_collapse_steps``) decides each orbit once: first its
-    cover, then, only if covered, its completeness in ``m``.  The pass
-    stops once orbits j-2 and j-1 are both out and no orbit from j up is
-    covered without kept predecessors, so its cost grows with what survives.
+    S_plane(x, y) grows with x and y and from D to K, so y + 1 is the run
+    Dd0, Dw1, Dw2, ... (odd positions) of orbits wholly inside m, x the run
+    Dc1, Dc2, ... (even positions) inside m, Dc_k only while Dw_{k-1} (Dd0
+    for k = 1) is kept, and the plane is K iff Vv0 lies inside m.  A run
+    stops at its first orbit left out, so at most three more masks are
+    read than kept.
     """
-    ctx = m.ctx
-    steps = ctx._collapse_steps or _collapse_steps(ctx)
-    bits = m.bits
-    keep = kept = pattern = 0       # pattern: orbit j-2 kept (1), j-1 kept (2)
-    for bit, mask, covered, alone in steps:
-        if not (pattern or alone):
-            break
-        if covered[pattern] and bits & mask == mask:
-            keep |= bit
-            kept |= mask
-            pattern = pattern >> 1 | 2
-        else:
-            pattern >>= 1
+    masks = orbit_masks(m.ctx)
+    bits, size = m.bits, len(masks)
+    keep = kept = 0
+    j = 1                               # Dd0, then Dw_k at 2k + 1
+    while j < size and bits & (mask := masks[j]) == mask:
+        keep |= 1 << j
+        kept |= mask
+        j += 2
+    stop, j = min(j, size), 2           # Dc_k at 2k, below the first of those left out
+    while j < stop and bits & (mask := masks[j]) == mask:
+        keep |= 1 << j
+        kept |= mask
+        j += 2
+    if bits & (mask := masks[0]) == mask:       # Vv0
+        keep |= 1
+        kept |= mask
     return keep, kept
-
-
-def _collapse_steps(ctx: Context) -> tuple[tuple[int, int, tuple[bool, ...], bool], ...]:
-    """The default pass's table for ``ctx`` (d = 1), built once and held on it.
-
-    Entry j is (1 << j, the mask of orbit j, whether each of the four
-    predecessor patterns covers orbit j, whether some orbit from j up is
-    covered with no kept predecessor).
-    """
-    masks = orbit_masks(ctx)
-    patterns = _cover_patterns(ctx.v)
-    alone = patterns[0]
-    ctx._collapse_steps = steps = tuple(
-        (1 << j, mask, tuple(bool(p >> j & 1) for p in patterns), alone >> j != 0)
-        for j, mask in enumerate(masks))
-    return steps
 
 
 def _covers(keep: int, j: int, patterns: tuple[int, int, int, int]) -> int:
@@ -288,10 +276,11 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
     size, then in ``itertools.combinations`` order of their positions.
 
     With the default set an orbit sum is a fixpoint iff each of its orbits
-    is covered for the pattern of its two predecessors (``_covers``, the
-    rule the default ``collapse`` pass applies), so a depth-first walk in
-    label order decides orbit j as soon as it is added and reaches only
-    survivors.  With explicit ``subs`` each of the 2**(2n) sums is tested:
+    is covered for the pattern of its two predecessors (``_covers``, read
+    off the critical substitution, so it checks the default ``collapse``,
+    which applies none), and a depth-first walk in label order decides
+    orbit j as soon as it is added and reaches only survivors.  With
+    explicit ``subs`` each of the 2**(2n) sums is tested:
     m is a fixpoint iff no substitution shrinks it, m & (m o sigma) == m
     for every sigma, so the test stops at the first sigma that does.
     """

@@ -126,7 +126,11 @@ class Minmatrix(Record):
     def from_json(doc: dict) -> "Minmatrix":
         ctx = context(doc["v"], doc["d"])
         if "hex" in doc:
-            m = Minmatrix(ctx, int.from_bytes(bytes.fromhex(doc["hex"]), "little"))
+            bits = int.from_bytes(bytes.fromhex(doc["hex"]), "little")
+            if bits >> ctx.universe_size:
+                raise ValueError(f"hex mask sets minterm index {bits.bit_length() - 1}, "
+                                 f"out of range for {ctx!r}")
+            m = Minmatrix(ctx, bits)
             if "minterms" in doc and list(m.members()) != list(doc["minterms"]):
                 raise ValueError("hex mask and minterm list disagree")
             return m

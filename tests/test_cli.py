@@ -240,6 +240,15 @@ def test_frames_over_the_cap_exit_1(capsys):
     assert err == "error: 68753097234 frames to check, over the cap 131072\n"
 
 
+def test_countermodel_over_the_frame_cap_exit_1(capsys):
+    # a theorem has no countermodel, so the search would walk all 2**25
+    # five-world frames: one error line once the frame cap is passed
+    code, out, err = run(capsys, "countermodel", "p->p", "--max-worlds", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: no countermodel in 131072 frames; "
+                   "the 5-world frames go over the cap 131072\n")
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     from mmw.lattice import InternalConsistencyError
     import mmw.cli as cli

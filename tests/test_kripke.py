@@ -305,6 +305,20 @@ def test_countermodel_none_for_theorem():
     assert find_countermodel(parse("[](p->q)->([]p->[]q)"), max_worlds=2) is None
 
 
+def test_countermodel_search_stops_at_the_frame_cap(monkeypatch):
+    # 2 + 16 + 512 frames up to 3 worlds: a cap of 530 scans them all, and
+    # the first 4-world frame past it is refused; a witness inside the cap
+    # still answers at any bound
+    monkeypatch.setattr(mmw.kripke, "FRAME_CAP", 530)
+    assert find_countermodel(parse("p->p"), 3) is None
+    with pytest.raises(ValueError, match="no countermodel in 530 frames; "
+                                         "the 4-world frames go over the cap 530"):
+        find_countermodel(parse("p->p"), 4)
+    with pytest.raises(ValueError, match="over the cap 530"):
+        find_countermodel(parse("[][]p->[][]p"), 40)      # degree 2, a theorem
+    assert find_countermodel(parse("[]p->p"), 40) == find_countermodel(parse("[]p->p"), 1)
+
+
 def test_countermodel_seriality():
     fr, model, w = find_countermodel(parse("<>1"))
     assert fr.rows == (0,)

@@ -225,25 +225,22 @@ def test_collapse_pass_matches_round_loop_v4(rng):
         assert collapse(m) == round_loop_collapse(m)
 
 
-def test_collapse_pass_stops_after_the_kept_orbits(monkeypatch):
-    # the pass reads the step of orbit j, then stops when orbits j-2 and
-    # j-1 are out and no orbit from j up is covered alone (from Dc1 up)
-    ctx = context(4, 1)
-    steps = mmw.lattice._collapse_steps(ctx)
+def test_collapse_pass_reads_at_most_three_masks_past_the_kept_orbits():
+    # each run stops at its first orbit left out; the masks of a context of
+    # its own count their reads: F, Vv0+Dd0, Vv0+Dd0+Dw1 and every orbit
+    ctx = Context(4, 1)
     read = [0]
 
-    class Counted:
-        def __iter__(self):
-            for step in steps:
-                read[0] += 1
-                yield step
-    monkeypatch.setattr(ctx, "_collapse_steps", Counted())
-    # F (stop at Dc1); Vv0+Dd0 (at Dc2); Vv0+Dd0+Dw1 (at Dc3); every orbit
-    for keep, want in ((0, 3), (0b11, 5), (0b1011, 7), ((1 << 32) - 1, 32)):
-        read[0] = 0
+    class Counted(tuple):
+        def __getitem__(self, j):
+            read[0] += 1
+            return tuple.__getitem__(self, j)
+    ctx._orbit_masks = Counted(orbit_masks(ctx))
+    for keep in (0, 0b11, 0b1011, (1 << 32) - 1):
         m = orbit_union(ctx, keep)
-        assert collapse(m) == m
-        assert read[0] == want, keep
+        read[0] = 0
+        assert collapse(m) is m             # a coordinate set loses nothing
+        assert read[0] <= keep.bit_count() + 3, keep
 
 
 def test_cmm_of_equals_the_collapse_then_complete_orbits_path(rng):
@@ -267,20 +264,17 @@ def test_cmm_of_equals_the_collapse_then_complete_orbits_path(rng):
         cmm_of(Minmatrix.full(context(1, 0)))
 
 
-def test_collapse_builds_the_step_table_once_per_context(monkeypatch):
-    built = []
-
-    def counted(ctx):
-        built.append(ctx)
-        return build(ctx)
-    build = mmw.lattice._collapse_steps
-    monkeypatch.setattr(mmw.lattice, "_collapse_steps", counted)
-    ctx = Context(3, 1)                 # not the shared context(3, 1)
-    a, b = orbit_union(ctx, 0b11), orbit_union(ctx, 0b101)    # Vv0+Dc1 keeps Vv0
-    assert collapse(a) is a
-    assert collapse(b) == orbit_union(ctx, 0b1)
-    assert cmm_of(b).orbits == 0b1
-    assert built == [ctx]
+def test_default_collapse_keeps_the_largest_coordinate_set():
+    # every orbit set at v <= 3 keeps the union of the CMM orbit sets it holds
+    for v in (0, 1, 2, 3):
+        ctx = context(v, 1)
+        cmms = [c.orbits for c in enumerate_cmms(v)]
+        for keep in range(1 << 2 * ctx.n):
+            largest = 0
+            for orbits in cmms:
+                if orbits & keep == orbits:
+                    largest |= orbits
+            assert cmm_of(orbit_union(ctx, keep)).orbits == largest, (v, keep)
 
 
 def reference_cover_patterns(v):

@@ -217,6 +217,15 @@ def test_json_round_trip(rng):
         assert Minmatrix.from_json(doc2) == m
 
 
+def test_json_refuses_a_hex_mask_wider_than_the_universe():
+    # K[1,1] has 8 minterms: "ff" is all of them, "ffff" claims 16
+    assert Minmatrix.from_json({"v": 1, "d": 1, "hex": "ff"}).is_theorem_K()
+    with pytest.raises(ValueError, match=r"minterm index 15, out of range for K\[1,1\]"):
+        Minmatrix.from_json({"v": 1, "d": 1, "hex": "ffff"})
+    with pytest.raises(ValueError, match=r"minterm index 1, out of range for K\[0,0\]"):
+        Minmatrix.from_json({"v": 0, "d": 0, "hex": "02"})
+
+
 def test_eq1_implication_subset(rng):
     # theoremhood of an implication is subset inclusion of the minmatrices
     from mmw.formula import Implies
