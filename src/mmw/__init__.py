@@ -8,18 +8,20 @@ small frames.
 
 ``import mmw`` runs only ``mmw.context`` (with the ``formula`` and
 ``_record`` modules it imports), which every command needs.  The other
-submodules are lazy: each is in ``sys.modules`` and bound here from the
-start, and its code runs on the first access to one of its attributes,
-so a command compiles only the modules it uses.  The names this package
-exports from them resolve through ``__getattr__``.
+submodules are lazy: each is in ``sys.modules`` and bound here before
+``context`` is imported, and its code runs on the first access to one of
+its attributes, so a command compiles only the modules it uses.  The
+names this package exports from them resolve through ``__getattr__``.
+
+One import rule holds in every module of the package: a module imports
+by name, at module level, only what it uses on every path, and reaches
+any other mmw module through its lazy submodule (``from . import
+lattice`` ... ``lattice.cmm_of(...)``).  No mmw module is imported
+inside a function.
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
-
-from .context import CapExceededError, Context, DegreeError, context, enumerate_E
-from .formula import (Formula, FormulaSyntaxError, modal_degree, parse, render,
-                      variables)
 
 __version__ = "0.1.0"
 
@@ -59,6 +61,11 @@ def _lazy_module(name: str):
 for _name in _LAZY:
     globals()[_name] = _lazy_module(_name)
 del _name
+
+# after the lazy submodules, so ``context`` can import them at module level
+from .context import CapExceededError, Context, DegreeError, context, enumerate_E
+from .formula import (Formula, FormulaSyntaxError, modal_degree, parse, render,
+                      variables)
 
 
 def __getattr__(name: str):

@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 domain error (syntax, caps, bad coordinates,
 formulas nested too deeply), 2 internal consistency failure.  The
 environment variable MMW_UNIVERSE_CAP overrides the default context cap.
 
-Each command imports what it calls when it runs, so a fresh interpreter
-compiles only the mmw modules (and ``json``) that the command uses.
+The mmw modules past ``context`` and ``formula`` (which ``import mmw``
+runs anyway) are the package's lazy submodules, imported here once and
+called as ``lattice.cmm_of(...)``: a module's code runs on the first
+call into it, so a fresh interpreter compiles only the mmw modules (and
+``json``) that the command uses.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ import argparse
 import os
 import sys
 
+from . import axiom, kripke, lattice, minmatrix, orbit, substitution
+from .context import CapExceededError, context, universe_cap
+from .formula import parse, render
+
 __all__ = ["main"]
 
 
 def _coord_value(text: str) -> int | str:
-    from .lattice import STAR
-    if text == STAR:
-        return STAR
+    if text == lattice.STAR:
+        return lattice.STAR
     return int(text)
 
 
@@ -34,33 +40,23 @@ def _print_minmatrix(m, fmt: str) -> None:
 
 def _orbit_names(labels, v: int) -> str:
     """Orbit labels as the context names them, joined by '+', or '(empty)'."""
-    from .orbit import display_label
-    return "+".join(display_label(l, v) for l in labels) or "(empty)"
+    return "+".join(orbit.display_label(l, v) for l in labels) or "(empty)"
 
 
 def cmd_normalize(args) -> int:
-    from .context import context
-    from .formula import parse
-    from .minmatrix import normalize
     ctx = context(args.v, args.d)
-    m = normalize(parse(args.formula), ctx)
+    m = minmatrix.normalize(parse(args.formula), ctx)
     _print_minmatrix(m, args.format)
     return 0
 
 
 def cmd_collapse(args) -> int:
-    from .context import context
-    from .formula import parse
-    from .lattice import cmm_of
-    from .minmatrix import normalize
-    from .orbit import labels_of
-    from .substitution import all_substitutions
     ctx = context(args.v, 1)
-    m = normalize(parse(args.formula), ctx)
-    subs = all_substitutions(args.v) if args.exhaustive else None
-    cmm = cmm_of(m, subs)
+    m = minmatrix.normalize(parse(args.formula), ctx)
+    subs = substitution.all_substitutions(args.v) if args.exhaustive else None
+    cmm = lattice.cmm_of(m, subs)
     result = cmm.matrix
-    labels = labels_of(cmm.orbits, ctx.n)
+    labels = orbit.labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
         import json
         doc = result.to_json()
@@ -75,16 +71,14 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    from .context import context
-    from .orbit import display_label, orbit_map
     ctx = context(args.v, 1)
-    orbits = orbit_map(ctx)
+    orbits = orbit.orbit_map(ctx)
     if args.format == "json":
         import json
         print(json.dumps({lbl: list(orb.members()) for lbl, orb in orbits.items()}))
     else:
         for lbl, orb in orbits.items():
-            print(f"{display_label(lbl, args.v)} ({orb.count} minterms): "
+            print(f"{orbit.display_label(lbl, args.v)} ({orb.count} minterms): "
                   f"{list(orb.members())}")
             if args.matrices:
                 print(orb.render_matrix())
@@ -93,26 +87,17 @@ def cmd_orbits(args) -> int:
 
 
 def _registry_name(coord) -> str | None:
-    from .axiom import registry_lookup
-    entry = registry_lookup(coord)
+    entry = axiom.registry_lookup(coord)
     return entry.name if entry else None
 
 
-def _label_key(label: str) -> tuple[str, int]:
-    """Sort key (prefix, index): Dc2 before Dc10."""
-    return label[:2], int(label[2:])
-
-
 def cmd_lattice(args) -> int:
-    from .lattice import enumerate_cmms, map_to_star
-    from .orbit import labels_of
     if args.format == "dot":
         print(_lattice_dot(args.v))
         return 0
-    cmms = enumerate_cmms(args.v)
+    cmms = lattice.enumerate_cmms(args.v)
     if args.format == "json":
         # the JSON lists every CMM's minterms: refuse before building them
-        from .context import CapExceededError, universe_cap
         size, cap = cmms[0].ctx.universe_size, universe_cap()
         if len(cmms) * size > cap:
             raise CapExceededError(
@@ -120,9 +105,9 @@ def cmd_lattice(args) -> int:
                 f"of {size} minterms each, over the cap {cap}")
     out = []
     for c in cmms:
-        star = map_to_star(c.coord, args.v)
+        star = lattice.map_to_star(c.coord, args.v)
         name = _registry_name(star)
-        labels = sorted(labels_of(c.orbits, c.ctx.n), key=_label_key)
+        labels = orbit.labels_of(c.orbits, c.ctx.n)
         if args.format == "json":
             out.append({"coord": str(c.coord), "star": str(star),
                         "plane": c.coord.plane, "x": c.coord.x, "y": c.coord.y,
@@ -138,9 +123,7 @@ def cmd_lattice(args) -> int:
 
 
 def _lattice_dot(v: int) -> str:
-    from .lattice import build_hasse, map_to_star
-    from .orbit import display_label
-    hasse = build_hasse(v)
+    hasse = lattice.build_hasse(v)
     lines = ["digraph lattice {", "  rankdir=BT;"]
     for plane in ("K", "D"):
         lines.append(f"  subgraph cluster_{plane} {{")
@@ -148,47 +131,37 @@ def _lattice_dot(v: int) -> str:
         for c in hasse.nodes:
             if c.coord.plane != plane:
                 continue
-            star = map_to_star(c.coord, v)
+            star = lattice.map_to_star(c.coord, v)
             name = _registry_name(star)
             label = str(c.coord) + (f"\\n{name}" if name else "")
             lines.append(f'    "{c.coord}" [label="{label}"];')
         lines.append("  }")
     for a, b, orb in hasse.edges:
-        lines.append(f'  "{a}" -> "{b}" [label="{display_label(orb, v)}"];')
+        lines.append(f'  "{a}" -> "{b}" [label="{orbit.display_label(orb, v)}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
 def cmd_axiom(args) -> int:
-    from .axiom import alpha_for
-    from .context import context
-    from .formula import render
-    from .lattice import SystemCoord, cmm_of
-    from .minmatrix import normalize
-    from .orbit import labels_of
-    coord = SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
-    axiom = alpha_for(coord, args.v, args.variant)
+    coord = lattice.SystemCoord(args.plane, _coord_value(args.x), _coord_value(args.y))
+    f = axiom.alpha_for(coord, args.v, args.variant)
     ctx = context(args.v, 1)
-    cmm = cmm_of(normalize(axiom, ctx))
-    labels = labels_of(cmm.orbits, ctx.n)
+    cmm = lattice.cmm_of(minmatrix.normalize(f, ctx))
+    labels = orbit.labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
         import json
-        doc = {"coord": str(coord), "axiom": render(axiom),
+        doc = {"coord": str(coord), "axiom": render(f),
                "cmm": cmm.matrix.to_json(), "orbits": labels}
         print(json.dumps(doc))
     else:
-        print(render(axiom))
+        print(render(f))
         print(f"CMM orbits: [{_orbit_names(labels, args.v)}]")
     return 0
 
 
 def cmd_system_of(args) -> int:
-    from .axiom import system_of
-    from .formula import parse
-    from .lattice import cmm_from_coords
-    from .orbit import labels_of
-    coord, origin = system_of(parse(args.formula))
-    labels = labels_of(cmm_from_coords(coord, origin).orbits, 1 << origin)
+    coord, origin = axiom.system_of(parse(args.formula))
+    labels = orbit.labels_of(lattice.cmm_from_coords(coord, origin).orbits, 1 << origin)
     name = _registry_name(coord)
     if args.format == "json":
         import json
@@ -205,8 +178,7 @@ def cmd_system_of(args) -> int:
 
 def cmd_classify(args) -> int:
     import json
-    from .substitution import classify
-    classes = classify(args.v)
+    classes = substitution.classify(args.v)
     out = [{"size": c.size,
             "representative": {"v": c.representative.v,
                                "tables": list(c.representative.tables)},
@@ -220,18 +192,16 @@ def cmd_frames(args) -> int:
     if not args.correspondence:
         print("nothing to do: pass --correspondence", file=sys.stderr)
         return 1
-    from .kripke import correspondence_check
-    from .lattice import SystemCoord, enumerate_cmms
     if args.all_coords:
-        coords = [c.coord for c in enumerate_cmms(args.v)]
+        coords = [c.coord for c in lattice.enumerate_cmms(args.v)]
     else:
         if args.plane is None or args.x is None or args.y is None:
             print("need --plane/--x/--y or --all-coords", file=sys.stderr)
             return 1
-        coords = [SystemCoord(args.plane, _coord_value(args.x),
-                              _coord_value(args.y))]
-    reports = [correspondence_check(args.v, c, args.max_worlds,
-                                    sample=args.sample, seed=args.seed)
+        coords = [lattice.SystemCoord(args.plane, _coord_value(args.x),
+                                      _coord_value(args.y))]
+    reports = [kripke.correspondence_check(args.v, c, args.max_worlds,
+                                           sample=args.sample, seed=args.seed)
                for c in coords]
     report = [{"coord": str(r.coord), "frames_checked": r.frames_checked,
                "violations": list(r.violations)}
@@ -251,11 +221,8 @@ def cmd_frames(args) -> int:
 
 
 def cmd_countermodel(args) -> int:
-    from .context import context
-    from .formula import parse, render
-    from .kripke import find_countermodel
     f = parse(args.formula)
-    hit = find_countermodel(f, args.max_worlds)
+    hit = kripke.find_countermodel(f, args.max_worlds)
     if hit is None:
         print(f"no countermodel with up to {args.max_worlds} worlds")
         return 0
@@ -342,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from . import lattice     # lazy: its code runs only if an error reaches the last clause
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

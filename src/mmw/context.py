@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .formula import And, Diamond, Formula, Not, Var, render, var_name
+from . import minmatrix
+from .formula import And, Const1, Diamond, Formula, Not, Var, render, var_name
 
 __all__ = [
     "Context", "context", "CapExceededError", "DegreeError",
@@ -179,7 +180,6 @@ def index_bit_mask(bit: int, size: int) -> int:
 
 def level0_minterm(v: int, index: int) -> Formula:
     if v == 0:
-        from .formula import Const1
         return Const1()
     node: Formula | None = None
     for k in range(v):
@@ -213,25 +213,19 @@ def enumerate_E(v: int, k: int, sign: str = "all"):
     ``sign`` selects all of E_v(k), the positive part (those containing
     m_{n-1}) or the negative part.  Sizes: C(n,k) and C(n-1,k-1).
     """
-    from .minmatrix import Minmatrix
     ctx = context(v, 0)
     n = ctx.n
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range 0..{n}")
     if sign not in ("all", "positive", "negative"):
         raise ValueError(f"unknown sign {sign!r}")
-    out = []
     if sign == "positive":
         if k == 0:
             return []
-        for rest in combinations(range(n - 1), k - 1):
-            out.append(Minmatrix.from_indices(ctx, rest + (n - 1,)))
-    elif sign == "negative":
-        for idxs in combinations(range(n - 1), k):
-            out.append(Minmatrix.from_indices(ctx, idxs))
+        sets = (rest + (n - 1,) for rest in combinations(range(n - 1), k - 1))
     else:
-        for idxs in combinations(range(n), k):
-            out.append(Minmatrix.from_indices(ctx, idxs))
+        sets = combinations(range(n - 1 if sign == "negative" else n), k)
+    out = [minmatrix.Minmatrix.from_indices(ctx, idxs) for idxs in sets]
     assert len(out) == (comb(n, k) if sign == "all" else
                         comb(n - 1, k - 1) if sign == "positive" else comb(n - 1, k))
     return out

@@ -35,12 +35,12 @@ each of its worlds' types is read once against both tables.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 
 from . import formula as fm
+from . import lattice
 from ._record import Record
 from .context import context
-from .lattice import STAR, SystemCoord, cmm_from_coords, map_to_star
 from .minmatrix import normalize
 from .orbit import complete_orbits, coord_orbits
 
@@ -53,6 +53,7 @@ __all__ = [
 WORLD_CAP = 6
 # Frames one ``correspondence_check`` or ``find_countermodel`` may scan:
 # every frame up to 4 worlds (66,066) fits, all 5-world frames (2**25) do not.
+# ``find_countermodel`` also walks at most this many valuations of frames.
 FRAME_CAP = 1 << 17
 
 
@@ -196,12 +197,13 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int) -> bool:
     return _valid_by_types(fr, table, n)
 
 
-def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
+def _falsify(fr: Frame, f: fm.Formula, v: int, n: int, limit: int | None = None):
     """(model, world) of the first valuation of ``fr`` falsifying ``f``, or None.
 
-    Valuations come in lexicographic order and worlds in index order.
+    Valuations come in lexicographic order and worlds in index order; a
+    ``limit`` stops the walk after that many valuations.
     """
-    for assignment in product(range(n), repeat=fr.size):
+    for assignment in islice(product(range(n), repeat=fr.size), limit):
         model = Model(fr, v, assignment)
         for w in range(fr.size):
             if not eval_model(model, w, f):
@@ -209,7 +211,7 @@ def _falsify(fr: Frame, f: fm.Formula, v: int, n: int):
     return None
 
 
-def _condition_of_type(loop: int, others: int, star: SystemCoord) -> bool:
+def _condition_of_type(loop: int, others: int, star: lattice.SystemCoord) -> bool:
     """The frame condition F(x, y) of a star coordinate at one world type.
 
     An irreflexive world (``loop`` 0) satisfies the C branch when it sees
@@ -218,19 +220,19 @@ def _condition_of_type(loop: int, others: int, star: SystemCoord) -> bool:
     removes the upper bound and y = -1 makes the W branch unsatisfiable.
     """
     if loop:
-        return star.y == STAR or others <= star.y
+        return star.y == lattice.STAR or others <= star.y
     lower = 1 if star.plane == "D" else 0
-    return others >= lower and (star.x == STAR or others <= star.x)
+    return others >= lower and (star.x == lattice.STAR or others <= star.x)
 
 
-def condition_holds_at(fr: Frame, w: int, star: SystemCoord) -> bool:
+def condition_holds_at(fr: Frame, w: int, star: lattice.SystemCoord) -> bool:
     """F(x, y) of a star coordinate at world w of ``fr``."""
     row = fr.rows[w]
     loop = (row >> w) & 1
     return _condition_of_type(loop, row.bit_count() - loop, star)
 
 
-def frame_condition_holds(fr: Frame, star: SystemCoord) -> bool:
+def frame_condition_holds(fr: Frame, star: lattice.SystemCoord) -> bool:
     """F(x, y) of ``star`` (a coordinate of ``map_to_star``) at every world."""
     return all(condition_holds_at(fr, w, star) for w in range(fr.size))
 
@@ -243,7 +245,7 @@ def iter_frames(size: int):
 class CorrespondenceReport(Record):
     __slots__ = ("coord", "v", "max_worlds", "frames_checked", "violations")
 
-    def __init__(self, coord: SystemCoord, v: int, max_worlds: int,
+    def __init__(self, coord: lattice.SystemCoord, v: int, max_worlds: int,
                  frames_checked: int, violations: tuple[dict, ...]):
         object.__setattr__(self, "coord", coord)
         object.__setattr__(self, "v", v)
@@ -256,7 +258,7 @@ class CorrespondenceReport(Record):
         return not self.violations
 
 
-def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
+def correspondence_check(v: int, coord: lattice.SystemCoord, max_worlds: int = 3,
                          sample: int | None = None,
                          seed: int = 0) -> CorrespondenceReport:
     """Frame-for-frame equivalence of axiom validity and frame condition.
@@ -280,8 +282,8 @@ def correspondence_check(v: int, coord: SystemCoord, max_worlds: int = 3,
     if frames > FRAME_CAP:
         raise ValueError(f"{frames} frames to check, over the cap {FRAME_CAP}")
     n = 1 << v
-    table = type_table(cmm_from_coords(coord, v).orbits, n)
-    star = map_to_star(coord, v)
+    table = type_table(lattice.cmm_from_coords(coord, v).orbits, n)
+    star = lattice.map_to_star(coord, v)
     condition = tuple(tuple(_condition_of_type(loop, others, star)
                             for others in range(max_worlds)) for loop in (0, 1))
     rng = random.Random(seed)
@@ -318,14 +320,16 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3):
     skipped, and valuations are enumerated only on the first frame that
     is not; such a formula needs K[v,1], v = max(variables(f), 1), under
     the cap (``CapExceededError`` otherwise).  ``max_worlds`` below 1 is
-    refused, and so is a search past ``FRAME_CAP`` frames with no witness.
+    refused, and so is a search with no witness past ``FRAME_CAP`` frames
+    or past ``FRAME_CAP`` valuations walked (a degree-2 formula walks
+    n**|W| valuations on every frame).
     """
     if max_worlds < 1:
         raise ValueError(f"max_worlds must be at least 1, not {max_worlds}")
     v = max(fm.variables(f), 1)
     n = context(v, 0).n         # refuses a level-0 universe over the cap
     table = _types_of(f, v, n)
-    scanned = 0
+    scanned = walked = 0
     for size in range(1, max_worlds + 1):
         for fr in iter_frames(size):
             scanned += 1
@@ -334,7 +338,11 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3):
                                  f"{size}-world frames go over the cap {FRAME_CAP}")
             if table is not None and _valid_by_types(fr, table, n):
                 continue
-            hit = _falsify(fr, f, v, n)
+            hit = _falsify(fr, f, v, n, FRAME_CAP - walked)
             if hit is not None:
                 return (fr,) + hit
+            walked += n ** size
+            if walked > FRAME_CAP:
+                raise ValueError(f"no countermodel in {FRAME_CAP} valuations; the "
+                                 f"{size}-world frames go over the cap {FRAME_CAP}")
     return None

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from . import substitution
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
 from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
                     orbit_masks, orbit_union, source_orbits)
-from .substitution import (Substitution, apply_minmatrix, coverage_key,
-                           critical_substitution)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
@@ -111,7 +110,7 @@ def collapse(m: Minmatrix, subs=None) -> Minmatrix:
         for s in subs:
             if not bits:
                 return bits
-            bits = bits & apply_minmatrix(bits, s)
+            bits = bits & substitution.apply_minmatrix(bits, s)
         if bits == prev:
             return bits
 
@@ -170,7 +169,7 @@ def _cover_patterns(v: int) -> tuple[int, int, int, int]:
     if v == 0:
         return 0b11, 0b11, 0b11, 0b11
     patterns = [0, 0, 0, 0]
-    for j, sources in enumerate(source_orbits(critical_substitution(v).g)):
+    for j, sources in enumerate(source_orbits(substitution.critical_substitution(v).g)):
         bit, before2, before1 = 1 << j, 1 << j >> 2, 1 << j >> 1
         if sources & ~(bit | before2 | before1):
             raise InternalConsistencyError(
@@ -230,14 +229,15 @@ def enumerate_cmms(v: int) -> list[CMM]:
     return out
 
 
-def coverage(ctx: Context, label_i: str, label_j: str, s: Substitution) -> str:
+def coverage(ctx: Context, label_i: str, label_j: str,
+             s: substitution.Substitution) -> str:
     """Orbit coverage under s: 'none', 'partial' or 'full'."""
     if ctx != context(s.v, 1):
         raise ValueError(f"coverage under a substitution on {s.v} variables "
                          f"is read in K[{s.v},1]")
     order = label_order(ctx.n)
     return ("none", "partial", "full")[
-        coverage_key(s)[order.index(label_i)][order.index(label_j)]]
+        substitution.coverage_key(s)[order.index(label_i)][order.index(label_j)]]
 
 
 def dependency_rules_hold(labels: set[str] | frozenset[str] | list[str], n: int) -> bool:
@@ -302,7 +302,7 @@ def surviving_orbit_sums(v: int, subs=None) -> list[int]:
         size = 2 * ctx.n
         for keep in range(1 << size):
             m = orbit_union(ctx, keep)
-            if all(m & apply_minmatrix(m, s) == m for s in subs):
+            if all(m & substitution.apply_minmatrix(m, s) == m for s in subs):
                 found.append(keep)
     found.sort(key=lambda keep: (keep.bit_count(),
                                  [k for k in range(size) if keep >> k & 1]))

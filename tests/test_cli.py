@@ -8,6 +8,7 @@ import pytest
 import mmw
 from mmw.cli import main
 from mmw.lattice import enumerate_cmms
+from mmw.orbit import label_order
 from mmw.substitution import classify
 
 
@@ -84,15 +85,23 @@ def test_lattice_json_counts(capsys):
     assert {"K", "D", "T", "KWX6", "KWZ5"} <= names
 
 
-def test_lattice_labels_in_index_order(capsys):
-    # by prefix, then index: Dcccc9 before Dcccc10; at v <= 3 every index
-    # has one digit, so the order there is plain string order
+def test_lattice_labels_in_label_order(capsys):
+    # the order collapse, axiom and system-of print: Vv0, Dd0, then Dc_k
+    # and Dw_k interleaved by k, so Dcccc9 before Dcccc10
     code, out, _ = run(capsys, "lattice", "--v", "4")
     lines = out.splitlines()
     assert code == 0 and len(lines) == 304
-    assert "+Dcccc9+Dcccc10+" in lines[-1] and lines[-1].endswith("+Dwwww15]  (D)")
+    assert lines[-1].endswith("+Dcccc9+Dwwww9+Dcccc10+Dwwww10+"
+                              "Dcccc11+Dwwww11+Dcccc12+Dwwww12+Dcccc13+Dwwww13+"
+                              "Dcccc14+Dwwww14+Dcccc15+Dwwww15]  (D)")
+    code, out, _ = run(capsys, "system-of", "pq<>p<>q-><>(pq)")
+    orbits = out.splitlines()[2].removeprefix("orbits: ")
+    code, out, _ = run(capsys, "lattice", "--v", "2")
+    assert f"S_K(1,3)  ->  S_K(1,*)  {orbits}  (KW8)" in out.splitlines()
     code, out, _ = run(capsys, "lattice", "--format", "json", "--v", "3")
-    assert all(entry["orbits"] == sorted(entry["orbits"]) for entry in json.loads(out))
+    order = label_order(8)
+    assert all(entry["orbits"] == sorted(entry["orbits"], key=order.index)
+               for entry in json.loads(out))
 
 
 def test_lattice_json_refused_over_cap(monkeypatch, capsys):
@@ -330,6 +339,25 @@ def test_normalize_command_leaves_lattice_kripke_axiom_unrun():
                      "main(['normalize', '--v', '1', '[]p->p']); " + EXECUTED)
     assert "mmw.minmatrix" in executed
     for name in ("mmw.lattice", "mmw.kripke", "mmw.axiom"):
+        assert repr(name) not in executed
+
+
+@pytest.mark.parametrize("argv,ran,unrun", [
+    (["collapse", "--v", "1", "[]p->p"], "mmw.lattice", ["mmw.substitution"]),
+    (["axiom", "--plane", "K", "--x", "1", "--y", "0", "--v", "1"], "mmw.axiom",
+     ["mmw.substitution"]),
+    (["system-of", "[]p->p"], "mmw.axiom", ["mmw.substitution"]),
+    (["lattice", "--v", "2", "--format", "dot"], "mmw.lattice", ["mmw.substitution"]),
+    (["frames", "--correspondence", "--v", "1", "--all-coords"], "mmw.kripke",
+     ["mmw.substitution"]),
+    (["countermodel", "[]p->p"], "mmw.kripke", ["mmw.lattice", "mmw.substitution"]),
+], ids=["collapse", "axiom", "system-of", "lattice-dot", "frames", "countermodel"])
+def test_command_leaves_modules_it_does_not_call_unrun(argv, ran, unrun):
+    # collapse without --exhaustive applies no substitution, and only
+    # correspondence reads the lattice in kripke
+    executed = fresh(f"from mmw.cli import main; main({argv!r}); " + EXECUTED)
+    assert repr(ran) in executed
+    for name in unrun:
         assert repr(name) not in executed
 
 

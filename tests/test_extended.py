@@ -6,9 +6,11 @@ from itertools import product
 import pytest
 
 from conftest import random_substitution
+from test_kripke import law_breaks, law_formulas
 from test_lattice import round_loop_collapse
 from test_substitution import mask_coverage_key
 
+from mmw.axiom import alpha_for
 from mmw.context import context
 from mmw.kripke import correspondence_check
 from mmw.lattice import collapse, enumerate_cmms
@@ -84,6 +86,15 @@ def test_correspondence_sampled_four_worlds():
             rep = correspondence_check(v, c.coord, max_worlds=4,
                                        sample=400, seed=13)
             assert rep.ok, (str(c.coord), rep.violations[:2])
+
+
+def test_validity_matches_the_frame_condition_of_system_of_on_3_worlds():
+    # the law of the tier-1 slice, every input on every frame up to 3 worlds
+    rng = random.Random(27)
+    formulas = [f for v in (1, 2, 3) for f in law_formulas(rng, v, 8)]
+    assert law_breaks(formulas, 3) == []
+    assert law_breaks([alpha_for(c.coord, v) for v in (1, 2)
+                       for c in enumerate_cmms(v)], 3) == []
 
 
 def test_collapse_pass_matches_round_loop_on_every_v3_orbit_sum():

@@ -11,7 +11,12 @@ level-0 maps.  The four ``countermodel`` digests and the two ``frames
 ``valid_on_frame`` lost its ``method`` option and ``FrameCondition`` was
 read off the star coordinate.  The ``frames --correspondence --v 3``
 digest was taken at commit 078a108, before the frame condition was read
-from a per-type table.
+from a per-type table.  The ``lattice --v 3`` (text and json) and
+``lattice --v 4`` digests were re-taken on the change after commit
+a174039, which prints the orbit labels in label order (Vv0, Dd0, Dc1,
+Dw1, ...), the order ``collapse``, ``axiom`` and ``system-of`` print,
+in place of a sort by prefix; the outputs differ from the old ones only
+in that order.
 A command given as ``("axiom", ...)`` inside another command's argv is
 replaced by the first line that the ``axiom`` command prints (its
 defining formula), which reaches coordinates in the middle of the
@@ -26,13 +31,13 @@ from mmw.cli import main
 
 GOLDEN = {
     ("lattice", "--v", "3"):
-        "cc4f6ba92e27ab5bc079d640f0b2a21115e691ec188fb97cf899d7950985ec42",
+        "dfc6599437941f96ff552adc07ca948941a41645a74a89c6af2cc673236a9c3b",
     ("lattice", "--v", "3", "--format", "json"):
-        "04ad836a9d636cf051ca9c9c7479e6b057c02c16f1ffedd5e4505d64a66b360c",
+        "a09b055d3fdbba86bd050b46aece3cc8e3f227a00cbac4c0d166081c08a81150",
     ("lattice", "--v", "2", "--format", "dot"):
         "485fdfab59e0e8cfe7f22964d377e42c0fd1f6e7cc461bcef0b8f05a074673d4",
     ("lattice", "--v", "4"):
-        "6a725f6f34effb4aeef13c341ba3d21b26a61e2d4bbba9e57026e14432311512",
+        "410e0f8c137728c395aea216aea225fc4d4ff2951c8cd07af227a5300842259e",
     ("lattice", "--v", "4", "--format", "dot"):
         "967bf55a3df4234ef5e109eab67ea6e2a6ca0317fe2217208f1a7d19bc8cb3cb",
     ("orbits", "--v", "3", "--format", "json"):

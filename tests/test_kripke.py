@@ -6,10 +6,11 @@ import pytest
 from conftest import random_formula
 
 import mmw.kripke
-from mmw.axiom import alpha_for, alpha_K
+import mmw.lattice
+from mmw.axiom import alpha_for, alpha_K, system_of
 from mmw.cli import main
 from mmw.context import context
-from mmw.formula import Box, Not, Or, parse, variables
+from mmw.formula import Box, Not, Or, parse, render, variables
 from mmw.kripke import (Frame, Model, _falsify, condition_holds_at,
                         correspondence_check, eval_model, find_countermodel,
                         frame_condition_holds, iter_frames, type_table,
@@ -275,7 +276,7 @@ def _reference_check(v, coord, star, max_worlds, sample=None, seed=0):
                          ids=["all-3-worlds", "sampled-4-worlds"])
 def test_correspondence_violations_match_reference(monkeypatch, coord, star,
                                                    max_worlds, sample, seed):
-    monkeypatch.setattr(mmw.kripke, "map_to_star", lambda c, v: star)
+    monkeypatch.setattr(mmw.lattice, "map_to_star", lambda c, v: star)
     rep = correspondence_check(1, coord, max_worlds, sample=sample, seed=seed)
     checked, violations = _reference_check(1, coord, star, max_worlds, sample, seed)
     assert violations and not rep.ok
@@ -285,7 +286,7 @@ def test_correspondence_violations_match_reference(monkeypatch, coord, star,
 
 def test_frames_cli_reports_violations(monkeypatch, capsys):
     coord, star = WRONG_STARS[0]
-    monkeypatch.setattr(mmw.kripke, "map_to_star", lambda c, v: star)
+    monkeypatch.setattr(mmw.lattice, "map_to_star", lambda c, v: star)
     _, violations = _reference_check(1, coord, star, 3)
     code = main(["frames", "--correspondence", "--v", "1", "--plane", "D",
                  "--x", "0", "--y", "*"])
@@ -293,6 +294,48 @@ def test_frames_cli_reports_violations(monkeypatch, capsys):
     assert code == 2
     assert out == f"S_D(0,*): 530 frames, {len(violations)} VIOLATIONS\n"
     assert err == f"{len(violations)} correspondence violations\n"
+
+
+def law_breaks(formulas, max_worlds):
+    """(formula, relation rows) where validity and the frame condition differ.
+
+    The law: f is valid on a frame F, by walking every valuation
+    (``_falsify``), iff F satisfies the frame condition of the system
+    ``system_of(f)`` puts f in.  Every frame up to ``max_worlds`` worlds.
+    """
+    frames = [fr for size in range(1, max_worlds + 1) for fr in iter_frames(size)]
+    breaks = []
+    for f in formulas:
+        star, v = system_of(f)
+        for fr in frames:
+            if (_falsify(fr, f, v, 1 << v) is None) != frame_condition_holds(fr, star):
+                breaks.append((render(f), fr.rows))
+    return breaks
+
+
+def law_formulas(rng, v, count):
+    """``count`` seeded random formulas in v variables.
+
+    Up to three "+ []!m" disjuncts, m a level-0 minterm, move a formula
+    off the bottom (F) and top (K) of the lattice into the middle.
+    """
+    out = []
+    for _ in range(count):
+        f = random_formula(rng, v, rng.randint(2, 4))
+        for m in rng.sample(range(1 << v), rng.randint(0, min(3, 1 << v))):
+            f = Or(f, Box(Not(context(v, 0).minterm_formula(m))))
+        out.append(f)
+    return out
+
+
+def test_validity_matches_the_frame_condition_of_system_of(rng):
+    # the tier-1 slice: a walk costs n**|W| valuations per frame, so v >= 2
+    # stays on 2-world frames here; ``pytest -m extended`` checks every v
+    # on 3-world frames
+    assert law_breaks(law_formulas(rng, 1, 8), 3) == []
+    assert law_breaks(law_formulas(rng, 2, 16) + law_formulas(rng, 3, 16), 2) == []
+    assert law_breaks([alpha_for(c.coord, 1) for c in enumerate_cmms(1)], 3) == []
+    assert law_breaks([alpha_for(c.coord, 2) for c in enumerate_cmms(2)], 2) == []
 
 
 def test_countermodel_T():
@@ -317,6 +360,26 @@ def test_countermodel_search_stops_at_the_frame_cap(monkeypatch):
     with pytest.raises(ValueError, match="over the cap 530"):
         find_countermodel(parse("[][]p->[][]p"), 40)      # degree 2, a theorem
     assert find_countermodel(parse("[]p->p"), 40) == find_countermodel(parse("[]p->p"), 1)
+
+
+def test_countermodel_search_stops_at_the_valuation_cap(monkeypatch):
+    # a degree-2 theorem (v = 1) walks 2 valuations on each of the 2
+    # one-world frames and 4 on each of the 16 two-world ones: a cap of 68
+    # walks them all, and the first 3-world frame goes over it, well inside
+    # the frame cap; a witness inside the cap still answers at any bound
+    hit = find_countermodel(parse("[]p->[][]p"), 3)
+    monkeypatch.setattr(mmw.kripke, "FRAME_CAP", 68)
+    assert find_countermodel(parse("[][]p->[][]p"), 2) is None
+    with pytest.raises(ValueError, match="no countermodel in 68 valuations; "
+                                         "the 3-world frames go over the cap 68"):
+        find_countermodel(parse("[][]p->[][]p"), 3)
+    assert hit is not None and find_countermodel(parse("[]p->[][]p"), 40) == hit
+
+
+def test_falsify_walks_at_most_limit_valuations():
+    # p is false at the one world under valuation 0 and true under 1
+    assert _falsify(BLIND, parse("!p"), 1, 2, 1) is None
+    assert _falsify(BLIND, parse("!p"), 1, 2, 2) == (Model(BLIND, 1, (1,)), 0)
 
 
 def test_countermodel_seriality():
