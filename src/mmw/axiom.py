@@ -15,13 +15,14 @@ the base system it extends; none of them is minimal or synthesized here.
 
 from __future__ import annotations
 
+from math import comb
 
 from . import formula as fm
 from ._record import Record
 from .context import context, enumerate_E, level0_minterm
 from .lattice import (STAR, SystemCoord, cmm_from_coords, cmm_of, collapse,
                       map_to_star)
-from .minmatrix import Minmatrix, normalize
+from .minmatrix import Minmatrix, check_mask_bits, normalize
 
 __all__ = [
     "alpha_K", "alpha_D", "alpha_prime_K", "alpha_for", "system_of",
@@ -44,6 +45,9 @@ def alpha_K(x: int | str, y: int | str, v: int) -> fm.Formula:
     ctx = context(v, 1)
     n = ctx.n
     rx, ry = SystemCoord("K", x, y).resolve(n)
+    # each term is a distinct subterm: refuse what normalize would refuse
+    check_mask_bits(sum(comb(n - 1, k) for k in range(rx + 1)) +
+                    sum(comb(n - 1, k) for k in range(ry + 1)), ctx, "alpha terms")
     top = n - 1
     terms = []
     for e in range((1 << n) - 1, -1, -1):
@@ -64,6 +68,8 @@ def alpha_prime_K(x: int | str, y: int | str, v: int) -> fm.Formula:
     ctx = context(v, 1)
     n = ctx.n
     rx, ry = SystemCoord("K", x, y).resolve(n)
+    check_mask_bits(sum(comb(n - 1, k) for k in (rx, ry) if k >= 0), ctx,
+                    "alpha-prime boxes")
     top_formula = level0_minterm(v, n - 1)
 
     def box_sum(k: int) -> fm.Formula:
@@ -147,11 +153,6 @@ class AxiomVariant(Record):
                  "base",    # "K", "D" or "T"
                  "text")    # compact syntax; may use $+ / $* cyclic macros
 
-    def __init__(self, v: int, base: str, text: str):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "text", text)
-
 
 class ErratumVariant(Record):
     """A published axiom string that does not land on its system.
@@ -162,28 +163,12 @@ class ErratumVariant(Record):
     """
 
     __slots__ = ("v", "base", "text", "lands_at", "corrected")
-
-    def __init__(self, v: int, base: str, text: str,
-                 lands_at: tuple[str, int | str, int | str],
-                 corrected: str | None = None):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "lands_at", lands_at)
-        object.__setattr__(self, "corrected", corrected)
+    _defaults = (None,)
 
 
 class NamedSystem(Record):
     __slots__ = ("name", "coord", "origin_v", "variants", "errata")
-
-    def __init__(self, name: str, coord: SystemCoord, origin_v: int,
-                 variants: tuple[AxiomVariant, ...],
-                 errata: tuple[ErratumVariant, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "origin_v", origin_v)
-        object.__setattr__(self, "variants", variants)
-        object.__setattr__(self, "errata", errata)
+    _defaults = ((),)
 
 
 BASE_COORDS = {

@@ -27,6 +27,7 @@ class Formula(Record):
     """Base class; concrete nodes are the subclasses below."""
 
     __slots__ = ()
+    __init__ = object.__init__      # the constants have no fields to store
 
 
 class Const0(Formula):
@@ -186,13 +187,9 @@ class _Parser:
 
     def parse_product(self) -> Formula:
         node = self.parse_unary()
-        while True:
-            if self.eat("&"):
-                node = And(node, self.parse_unary())
-            elif self.at_atom_start():
-                node = And(node, self.parse_unary())
-            else:
-                return node
+        while self.eat("&") or self.at_atom_start():
+            node = And(node, self.parse_unary())
+        return node
 
     def parse_unary(self) -> Formula:
         if self.eat("!"):

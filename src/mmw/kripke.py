@@ -245,14 +245,6 @@ def iter_frames(size: int):
 class CorrespondenceReport(Record):
     __slots__ = ("coord", "v", "max_worlds", "frames_checked", "violations")
 
-    def __init__(self, coord: lattice.SystemCoord, v: int, max_worlds: int,
-                 frames_checked: int, violations: tuple[dict, ...]):
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "max_worlds", max_worlds)
-        object.__setattr__(self, "frames_checked", frames_checked)
-        object.__setattr__(self, "violations", violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations

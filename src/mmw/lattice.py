@@ -54,9 +54,7 @@ class SystemCoord(Record):
         for c in (x, y):
             if not (c == STAR or isinstance(c, int)):
                 raise ValueError(f"coordinate {c!r} must be an integer or '*'")
-        object.__setattr__(self, "plane", plane)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        super().__init__(plane, x, y)
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Concrete (x, y) in a context with n sections; validates ranges."""
@@ -78,11 +76,6 @@ class CMM(Record):
     """A characteristic minmatrix of ``ctx``: coordinate and 2n-bit orbit set."""
 
     __slots__ = ("ctx", "coord", "orbits")
-
-    def __init__(self, ctx: Context, coord: SystemCoord, orbits: int):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "orbits", orbits)
 
     @property
     def matrix(self) -> Minmatrix:
@@ -322,11 +315,6 @@ def map_to_star(coord: SystemCoord, v: int) -> SystemCoord:
 
 class HasseDiagram(Record):
     __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: tuple[CMM, ...],
-                 edges: tuple[tuple[SystemCoord, SystemCoord, str], ...]):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""

@@ -17,9 +17,14 @@ from __future__ import annotations
 
 from . import formula as fm
 from ._record import Record
-from .context import Context, DegreeError, context
+from .context import CapExceededError, Context, DegreeError, context
 
-__all__ = ["Minmatrix", "ContextMismatchError", "normalize"]
+__all__ = ["Minmatrix", "ContextMismatchError", "normalize", "MASK_BITS_CAP"]
+
+# ``normalize`` holds a mask of the context's universe for each distinct
+# subterm.  Past this many bits in all (512 MiB) a formula is refused
+# before any mask is built.
+MASK_BITS_CAP = 1 << 32
 
 
 class ContextMismatchError(ValueError):
@@ -186,9 +191,10 @@ def normalize(f: fm.Formula, ctx: Context) -> Minmatrix:
     if degree[-1] > ctx.d:
         raise DegreeError(
             f"formula has degree {degree[-1]}, context is {ctx!r}")
-    if nvars[-1] > ctx.v:
+    if nvars > ctx.v:
         raise ValueError(
-            f"formula uses {nvars[-1]} variables, context is {ctx!r}")
+            f"formula uses {nvars} variables, context is {ctx!r}")
+    check_mask_bits(len(nodes), ctx, "distinct subterms")
     # levels[r] is where subterms at modal depth D - r from the root are
     # evaluated (D = the root's degree), so a subterm of degree k is only
     # needed from levels[k] up.
@@ -226,16 +232,25 @@ def normalize(f: fm.Formula, ctx: Context) -> Minmatrix:
     return Minmatrix(ctx, below[-1])
 
 
-def _intern(f: fm.Formula) -> tuple[list[tuple[int, int, int]],
-                                     list[int], list[int]]:
+def check_mask_bits(count: int, ctx: Context, what: str) -> None:
+    """Refuse ``count`` subterms of ``ctx`` whose masks pass ``MASK_BITS_CAP``."""
+    if count * ctx.universe_size > MASK_BITS_CAP:
+        raise CapExceededError(
+            f"{count} {what} need {count} masks of {ctx.universe_size} bits "
+            f"in {ctx!r}, over the cap {MASK_BITS_CAP}")
+
+
+def _intern(f: fm.Formula) -> tuple[list[tuple[int, int, int]], list[int], int]:
     """The distinct subterms of ``f`` as a table, children before parents.
 
     Entry ``i`` is ``(kind, a, b)``: ``a`` and ``b`` are the entries of the
     children (0 where absent), or ``a`` is the index of a variable.  Equal
     subterms share one entry, however many objects spell them, so a key
-    hashes in O(1).  Also returns each entry's modal degree and variable
-    count.  The root is the last entry.  The post-order walk keeps its own
-    stacks, so depth is not limited by the interpreter's recursion limit.
+    hashes in O(1).  Also returns each entry's modal degree and the
+    formula's variable count (the largest index in the table plus one:
+    every entry is a subterm of the root).  The root is the last entry.
+    The post-order walk keeps its own stacks, so depth is not limited by
+    the interpreter's recursion limit.
     """
     ids: dict[tuple[int, int, int], int] = {}
     seen: dict[int, int] = {}       # id(object) -> entry: shared objects
@@ -271,17 +286,16 @@ def _intern(f: fm.Formula) -> tuple[list[tuple[int, int, int]],
         seen[id(g)] = i
         done.append(i)
     degree: list[int] = []
-    nvars: list[int] = []
+    nvars = 0
     for kind, a, b in nodes:
         if kind >= _AND:
             degree.append(max(degree[a], degree[b]))
-            nvars.append(max(nvars[a], nvars[b]))
         elif kind >= _NOT:
             degree.append(degree[a] + (kind != _NOT))
-            nvars.append(nvars[a])
         else:
             degree.append(0)
-            nvars.append(a + 1 if kind == _VAR else 0)
+            if kind == _VAR and a >= nvars:
+                nvars = a + 1
     return nodes, degree, nvars
 
 

@@ -201,11 +201,6 @@ class DependencyClass(Record):
 
     __slots__ = ("key", "size", "representative")
 
-    def __init__(self, key: tuple, size: int, representative: Substitution):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "representative", representative)
-
     @property
     def key_digest(self) -> str:
         import hashlib   # loaded only by callers that classify

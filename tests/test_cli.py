@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import mmw
+from mmw.axiom import alpha_K
 from mmw.cli import main
+from mmw.formula import render
 from mmw.lattice import enumerate_cmms
 from mmw.orbit import label_order
 from mmw.substitution import classify
@@ -133,6 +136,30 @@ def test_axiom_command(capsys):
     code, out, _ = run(capsys, "axiom", "--plane", "K", "--x", "0", "--y", "0",
                        "--v", "1", "--variant", "alpha-prime")
     assert code == 0 and "[]" in out
+    code, out, _ = run(capsys, "axiom", "--plane", "K", "--x", "0", "--y", "0",
+                       "--v", "4")
+    assert code == 0 and out.splitlines()[0] == render(alpha_K(0, 0, 4))
+
+
+@pytest.mark.parametrize("args", [
+    ("--x", "3", "--y", "3"),
+    ("--x", "15", "--y", "15"),
+    ("--x", "7", "--y", "7", "--variant", "alpha-prime"),
+])
+def test_v4_axiom_over_the_mask_cap_exits_cleanly(args):
+    # unbounded, these build 782 MiB to 13.6 GiB of subterm masks (3,3 then
+    # renders a 1,152-term sum too deep to recurse); the child gets 1 GiB
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from mmw.cli import main; sys.exit(main())",
+         "axiom", "--plane", "K", *args, "--v", "4"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ") and "over the cap" in proc.stderr
 
 
 def test_axiom_invalid_coordinate(capsys):

@@ -7,7 +7,7 @@ from conftest import random_formula, random_minmatrix
 
 from mmw import formula as fm
 from mmw.axiom import alpha_K
-from mmw.context import DegreeError, context
+from mmw.context import CapExceededError, Context, DegreeError, context
 from mmw.formula import Const0, Const1, parse, render
 from mmw.minmatrix import (ContextMismatchError, Minmatrix, _diamond_mask,
                            normalize)
@@ -106,6 +106,30 @@ def test_normalize_degree_and_variable_guards():
         normalize(parse("<><>p"), K11)
     with pytest.raises(ValueError):
         normalize(parse("q"), context(1, 0))
+
+
+def test_normalize_refuses_masks_over_the_bit_cap(monkeypatch):
+    # a K[4,1] mask has 2^20 bits, so 4,096 distinct subterms fill the 2^32-bit
+    # cap; the first mask built would be p's, so reaching it shows the check ran
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(Context, "var_mask", reached)
+
+    def negations(entries):             # p under entries - 1 negations
+        f = fm.Var(0)
+        for _ in range(entries - 1):
+            f = fm.Not(f)
+        return f
+
+    ctx = context(4, 1)
+    with pytest.raises(Reached):
+        normalize(negations(4096), ctx)
+    with pytest.raises(CapExceededError, match="^4097 distinct subterms .* over the cap"):
+        normalize(negations(4097), ctx)
 
 
 def test_boolean_ops():

@@ -100,6 +100,17 @@ def test_defaults_and_type_sensitive_equality():
     assert len({fm.Const0(), fm.Const1(), fm.Const0()}) == 2
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CMM(K11, COORD),                            # too few fields
+    lambda: CMM(K11, COORD, 15, 0),                     # too many
+    lambda: ErratumVariant(2, "K", "p"),                # too few past the default
+    lambda: NamedSystem("T", COORD, 1, (VARIANT,), (), None),
+], ids=["too-few", "too-many", "too-few-with-default", "too-many-with-default"])
+def test_default_constructor_refuses_a_wrong_field_count(build):
+    with pytest.raises(TypeError, match=r"^(CMM|ErratumVariant|NamedSystem)\(\) takes \d fields"):
+        build()
+
+
 @pytest.mark.parametrize("from_list,from_tuple", [
     (lambda: Frame([2, 1]), lambda: Frame((2, 1))),
     (lambda: Model(Frame([1]), 1, [0]), lambda: Model(Frame((1,)), 1, (0,))),
