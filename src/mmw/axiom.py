@@ -45,9 +45,11 @@ def alpha_K(x: int | str, y: int | str, v: int) -> fm.Formula:
     ctx = context(v, 1)
     n = ctx.n
     rx, ry = SystemCoord("K", x, y).resolve(n)
-    # each term is a distinct subterm: refuse what normalize would refuse
-    check_mask_bits(sum(comb(n - 1, k) for k in range(rx + 1)) +
-                    sum(comb(n - 1, k) for k in range(ry + 1)), ctx, "alpha terms")
+    # each term's product and its link in the "+" chain are distinct
+    # subterms: refuse what normalize would refuse, before building them
+    count = (sum(comb(n - 1, k) for k in range(rx + 1)) +
+             sum(comb(n - 1, k) for k in range(ry + 1)))
+    check_mask_bits(2 * count, ctx, "alpha subterms")
     top = n - 1
     terms = []
     for e in range((1 << n) - 1, -1, -1):

@@ -30,12 +30,9 @@ def _coord_value(text: str) -> int | str:
     return int(text)
 
 
-def _print_minmatrix(m, fmt: str) -> None:
-    if fmt == "json":
-        import json
-        print(json.dumps(m.to_json(include_hex=True)))
-    else:
-        print(m.render_matrix())
+def _print_json(doc) -> None:
+    import json
+    print(json.dumps(doc))
 
 
 def _orbit_names(labels, v: int) -> str:
@@ -46,7 +43,10 @@ def _orbit_names(labels, v: int) -> str:
 def cmd_normalize(args) -> int:
     ctx = context(args.v, args.d)
     m = minmatrix.normalize(parse(args.formula), ctx)
-    _print_minmatrix(m, args.format)
+    if args.format == "json":
+        _print_json(m.to_json(include_hex=True))
+    else:
+        print(m.render_matrix())
     return 0
 
 
@@ -58,11 +58,10 @@ def cmd_collapse(args) -> int:
     result = cmm.matrix
     labels = orbit.labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
-        import json
         doc = result.to_json()
         doc["orbits"] = labels
         doc["coord"] = str(cmm.coord)
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(result.render_matrix())
         print(f"orbits: [{_orbit_names(labels, args.v)}]")
@@ -74,8 +73,7 @@ def cmd_orbits(args) -> int:
     ctx = context(args.v, 1)
     orbits = orbit.orbit_map(ctx)
     if args.format == "json":
-        import json
-        print(json.dumps({lbl: list(orb.members()) for lbl, orb in orbits.items()}))
+        _print_json({lbl: list(orb.members()) for lbl, orb in orbits.items()})
     else:
         for lbl, orb in orbits.items():
             print(f"{orbit.display_label(lbl, args.v)} ({orb.count} minterms): "
@@ -117,8 +115,7 @@ def cmd_lattice(args) -> int:
             tag = f"  ({name})" if name else ""
             print(f"{c.coord}  ->  {star}  [{_orbit_names(labels, args.v)}]{tag}")
     if args.format == "json":
-        import json
-        print(json.dumps(out))
+        _print_json(out)
     return 0
 
 
@@ -149,10 +146,8 @@ def cmd_axiom(args) -> int:
     cmm = lattice.cmm_of(minmatrix.normalize(f, ctx))
     labels = orbit.labels_of(cmm.orbits, ctx.n)
     if args.format == "json":
-        import json
-        doc = {"coord": str(coord), "axiom": render(f),
-               "cmm": cmm.matrix.to_json(), "orbits": labels}
-        print(json.dumps(doc))
+        _print_json({"coord": str(coord), "axiom": render(f),
+                     "cmm": cmm.matrix.to_json(), "orbits": labels})
     else:
         print(render(f))
         print(f"CMM orbits: [{_orbit_names(labels, args.v)}]")
@@ -164,9 +159,8 @@ def cmd_system_of(args) -> int:
     labels = orbit.labels_of(lattice.cmm_from_coords(coord, origin).orbits, 1 << origin)
     name = _registry_name(coord)
     if args.format == "json":
-        import json
-        print(json.dumps({"coord": str(coord), "origin_v": origin,
-                          "orbits": labels, "name": name}))
+        _print_json({"coord": str(coord), "origin_v": origin,
+                     "orbits": labels, "name": name})
     else:
         print(f"coordinate: {coord}")
         print(f"origin context: K[{origin},1]")
@@ -177,14 +171,11 @@ def cmd_system_of(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    import json
-    classes = substitution.classify(args.v)
-    out = [{"size": c.size,
-            "representative": {"v": c.representative.v,
-                               "tables": list(c.representative.tables)},
-            "key_digest": c.key_digest}
-           for c in classes]
-    print(json.dumps(out))
+    _print_json([{"size": c.size,
+                  "representative": {"v": c.representative.v,
+                                     "tables": list(c.representative.tables)},
+                  "key_digest": c.key_digest}
+                 for c in substitution.classify(args.v)])
     return 0
 
 
@@ -208,8 +199,7 @@ def cmd_frames(args) -> int:
               for r in reports]
     bad = sum(len(r["violations"]) for r in report)
     if args.format == "json":
-        import json
-        print(json.dumps(report))
+        _print_json(report)
     else:
         for r in report:
             status = "ok" if not r["violations"] else f"{len(r['violations'])} VIOLATIONS"
@@ -230,8 +220,7 @@ def cmd_countermodel(args) -> int:
     doc = {"worlds": frame.size, "relation_rows": list(frame.rows),
            "valuation_minterms": list(model.assignment), "world": w}
     if args.format == "json":
-        import json
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"falsified at world {w} of {frame.size}")
         for u in range(frame.size):

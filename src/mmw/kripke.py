@@ -26,10 +26,10 @@ the oracle the structural rule is tested against.
 validity is closed under substitution, so an axiom and its collapse are
 valid on the same frames.  The frame condition F(x, y), read off the
 coordinate's image in the assembled lattice (``map_to_star``), is a
-predicate of the same world type with k uncapped, so the check tabulates
-it too, for k below the world bound.  Both predicates are read per world
-type, but the frame scan stays as the check: every frame is built and
-each of its worlds' types is read once against both tables.
+predicate of the same world type, tabulated alike by ``condition_table``.
+One scan, ``_types_meet``, reads a frame's world types against such a
+table for every caller; ``correspondence_check`` packs its two tables
+into one of 2-bit codes and scans each frame once.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .minmatrix import normalize
 from .orbit import complete_orbits, coord_orbits
 
 __all__ = [
-    "Frame", "Model", "eval_model", "valid_on_frame", "condition_holds_at",
+    "Frame", "Model", "eval_model", "valid_on_frame", "condition_table",
     "frame_condition_holds", "correspondence_check", "find_countermodel",
     "iter_frames", "CorrespondenceReport", "type_table",
 ]
@@ -162,12 +162,21 @@ def type_table(kept: int, n: int) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
             tuple(spans("D", 0, min(c, n - 1)) for c in range(n + 1)))
 
 
-def _valid_by_types(fr: Frame, table, n: int) -> bool:
-    for w, row in enumerate(fr.rows):
+def _types_meet(rows, table, n: int) -> int:
+    """The AND of ``table[loop][min(k, n)]`` over the worlds with these rows.
+
+    Entries are bit sets, so one scan reads several tables packed as one;
+    it stops at the first world that clears every bit.
+    """
+    meet = -1
+    w = 0
+    for row in rows:
         loop = (row >> w) & 1
-        if not table[loop][min(row.bit_count() - loop, n)]:
-            return False
-    return True
+        meet &= table[loop][min(row.bit_count() - loop, n)]
+        if not meet:
+            return 0
+        w += 1
+    return meet
 
 
 def _types_of(f: fm.Formula, v: int, n: int):
@@ -194,7 +203,7 @@ def valid_on_frame(fr: Frame, f: fm.Formula, v: int) -> bool:
     table = _types_of(f, v, n)
     if table is None:
         return _falsify(fr, f, v, n) is None
-    return _valid_by_types(fr, table, n)
+    return bool(_types_meet(fr.rows, table, n))
 
 
 def _falsify(fr: Frame, f: fm.Formula, v: int, n: int, limit: int | None = None):
@@ -211,30 +220,29 @@ def _falsify(fr: Frame, f: fm.Formula, v: int, n: int, limit: int | None = None)
     return None
 
 
-def _condition_of_type(loop: int, others: int, star: lattice.SystemCoord) -> bool:
-    """The frame condition F(x, y) of a star coordinate at one world type.
+def condition_table(star: lattice.SystemCoord, n: int):
+    """F(x, y) of a star coordinate as a per-type table ``ok[loop][min(k, n)]``.
 
-    An irreflexive world (``loop`` 0) satisfies the C branch when it sees
-    at most x other worlds (the D plane adds "at least one"); a reflexive
-    world satisfies the W branch when it sees at most y others.  STAR
-    removes the upper bound and y = -1 makes the W branch unsatisfiable.
+    An irreflexive world (``loop`` 0) satisfies the C branch when
+    lower <= k <= x, lower being 1 on the D plane and 0 on the K plane; a
+    reflexive world satisfies the W branch when k <= y.  STAR removes the
+    upper bound and y = -1 makes the W branch unsatisfiable.  Entry n
+    stands for every k >= n: exact when every finite bound is below n, as
+    for ``map_to_star(coord, v)`` with n = 2**v.
     """
-    if loop:
-        return star.y == lattice.STAR or others <= star.y
     lower = 1 if star.plane == "D" else 0
-    return others >= lower and (star.x == lattice.STAR or others <= star.x)
-
-
-def condition_holds_at(fr: Frame, w: int, star: lattice.SystemCoord) -> bool:
-    """F(x, y) of a star coordinate at world w of ``fr``."""
-    row = fr.rows[w]
-    loop = (row >> w) & 1
-    return _condition_of_type(loop, row.bit_count() - loop, star)
+    x = n if star.x == lattice.STAR else star.x
+    y = n if star.y == lattice.STAR else star.y
+    return (tuple(lower <= c <= x for c in range(n + 1)),
+            tuple(c <= y for c in range(n + 1)))
 
 
 def frame_condition_holds(fr: Frame, star: lattice.SystemCoord) -> bool:
-    """F(x, y) of ``star`` (a coordinate of ``map_to_star``) at every world."""
-    return all(condition_holds_at(fr, w, star) for w in range(fr.size))
+    """F(x, y) of ``star`` (a coordinate of ``map_to_star``) at every world.
+
+    No world sees ``fr.size`` others, so no entry read saturates.
+    """
+    return bool(_types_meet(fr.rows, condition_table(star, fr.size), fr.size))
 
 
 def iter_frames(size: int):
@@ -274,10 +282,12 @@ def correspondence_check(v: int, coord: lattice.SystemCoord, max_worlds: int = 3
     if frames > FRAME_CAP:
         raise ValueError(f"{frames} frames to check, over the cap {FRAME_CAP}")
     n = 1 << v
-    table = type_table(lattice.cmm_from_coords(coord, v).orbits, n)
-    star = lattice.map_to_star(coord, v)
-    condition = tuple(tuple(_condition_of_type(loop, others, star)
-                            for others in range(max_worlds)) for loop in (0, 1))
+    # bit 0 of a type's code: the axiom holds there; bit 1: the condition does
+    valid = type_table(lattice.cmm_from_coords(coord, v).orbits, n)
+    holds = condition_table(lattice.map_to_star(coord, v), n)
+    table = tuple(tuple(a | b << 1 for a, b in zip(va, ha))
+                  for va, ha in zip(valid, holds))
+    meet = _types_meet      # bound once: the scan is called per frame
     rng = random.Random(seed)
     checked = 0
     violations = []
@@ -287,19 +297,12 @@ def correspondence_check(v: int, coord: lattice.SystemCoord, max_worlds: int = 3
         else:
             rels = range(total)
         for rel in rels:
-            fr = Frame.from_relation(size, rel)
-            valid = holds = True
-            for w, row in enumerate(fr.rows):
-                loop = (row >> w) & 1
-                others = row.bit_count() - loop
-                valid = valid and table[loop][min(others, n)]
-                holds = holds and condition[loop][others]
-                if not (valid or holds):
-                    break
+            code = meet(Frame.from_relation(size, rel).rows, table, n)
             checked += 1
-            if valid != holds:
+            if code == 1 or code == 2:
                 violations.append({"worlds": size, "relation": rel,
-                                   "axiom_valid": valid, "condition_holds": holds})
+                                   "axiom_valid": code == 1,
+                                   "condition_holds": code == 2})
     return CorrespondenceReport(coord, v, max_worlds, checked, tuple(violations))
 
 
@@ -328,7 +331,7 @@ def find_countermodel(f: fm.Formula, max_worlds: int = 3):
             if scanned > FRAME_CAP:
                 raise ValueError(f"no countermodel in {FRAME_CAP} frames; the "
                                  f"{size}-world frames go over the cap {FRAME_CAP}")
-            if table is not None and _valid_by_types(fr, table, n):
+            if table is not None and _types_meet(fr.rows, table, n):
                 continue
             hit = _falsify(fr, f, v, n, FRAME_CAP - walked)
             if hit is not None:

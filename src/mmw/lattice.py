@@ -318,7 +318,9 @@ class HasseDiagram(Record):
 
     def join(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice join: the CMM whose matrix is the union (Theorem 1a)."""
-        return _cmm(self.nodes[0].ctx, self._orbits(a) | self._orbits(b))
+        ctx = self.nodes[0].ctx
+        return _cmm(ctx, cmm_from_coords(a, ctx.v).orbits
+                    | cmm_from_coords(b, ctx.v).orbits)
 
     def meet(self, a: SystemCoord, b: SystemCoord) -> CMM:
         """Lattice meet: the CMM whose matrix is the intersection.
@@ -326,10 +328,9 @@ class HasseDiagram(Record):
         A union of orbits is a collapse fixpoint exactly when its orbit set
         is a coordinate set, so ``_cmm`` checks it does not collapse.
         """
-        return _cmm(self.nodes[0].ctx, self._orbits(a) & self._orbits(b))
-
-    def _orbits(self, coord: SystemCoord) -> int:
-        return coord_orbits(coord.plane, *coord.resolve(self.nodes[0].ctx.n))
+        ctx = self.nodes[0].ctx
+        return _cmm(ctx, cmm_from_coords(a, ctx.v).orbits
+                    & cmm_from_coords(b, ctx.v).orbits)
 
 
 def build_hasse(v: int) -> HasseDiagram:

@@ -5,7 +5,7 @@ from conftest import random_formula
 from mmw.axiom import (AxiomVariant, alpha_D, alpha_for, alpha_K,
                        alpha_prime_K, expand_cyclic, named_systems,
                        registry_lookup, system_of, variant_collapse)
-from mmw.context import context
+from mmw.context import CapExceededError, Context, context
 from mmw.formula import parse, rename_vars, variables
 from mmw.lattice import (STAR, SystemCoord, cmm_from_coords, collapse,
                          enumerate_cmms, map_to_star)
@@ -52,6 +52,15 @@ def test_alpha_D_is_diamond_top_conjunction():
         lhs = normalize(alpha_D(*coord, 1), K11)
         rhs = normalize(parse("<>1"), K11) & normalize(alpha_K(*coord, 1), K11)
         assert lhs == rhs
+
+
+def test_alpha_over_the_mask_cap_is_refused_before_building(monkeypatch):
+    # S_K(4,4) at v = 4 sums 3,882 terms: 7,764 subterms of 2**20-bit masks
+    def refuse(*args):
+        raise AssertionError("alpha term built for a refused axiom")
+    monkeypatch.setattr(Context, "minterm_formula", refuse)
+    with pytest.raises(CapExceededError, match="7764 alpha subterms"):
+        alpha_K(4, 4, 4)
 
 
 def test_alpha_collapse_every_coordinate():

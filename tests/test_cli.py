@@ -143,6 +143,7 @@ def test_axiom_command(capsys):
 
 @pytest.mark.parametrize("args", [
     ("--x", "3", "--y", "3"),
+    ("--x", "4", "--y", "4"),
     ("--x", "15", "--y", "15"),
     ("--x", "7", "--y", "7", "--variant", "alpha-prime"),
 ])
@@ -386,6 +387,13 @@ def test_command_leaves_modules_it_does_not_call_unrun(argv, ran, unrun):
     assert repr(ran) in executed
     for name in unrun:
         assert repr(name) not in executed
+
+
+@pytest.mark.parametrize("fmt,loaded", [("text", "False"), ("json", "True")])
+def test_only_json_output_imports_json(fmt, loaded):
+    argv = ["system-of", "[]p->p", "--format", fmt]
+    assert fresh(f"import sys; from mmw.cli import main; main({argv!r}); "
+                 "print('json' in sys.modules)") == loaded
 
 
 def test_cli_import_registers_traced_modules():

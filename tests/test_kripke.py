@@ -11,7 +11,7 @@ from mmw.axiom import alpha_for, alpha_K, system_of
 from mmw.cli import main
 from mmw.context import context
 from mmw.formula import Box, Not, Or, parse, render, variables
-from mmw.kripke import (Frame, Model, _falsify, condition_holds_at,
+from mmw.kripke import (Frame, Model, _falsify, condition_table,
                         correspondence_check, eval_model, find_countermodel,
                         frame_condition_holds, iter_frames, type_table,
                         valid_on_frame)
@@ -112,18 +112,28 @@ def test_type_table_matches_per_minterm_oracle():
 def test_type_table_matches_frame_condition():
     # validity is a conjunction over worlds, so agreement on every world
     # type proves correspondence on frames of any size; k = n + 1 shows
-    # that types saturate at min(k, n)
+    # that types saturate at min(k, n) (a table of bound n + 2 reads k
+    # uncapped)
     for v in (1, 2):
         n = 1 << v
         for c in enumerate_cmms(v):
             ok = type_table(c.orbits, n)
-            star = map_to_star(c.coord, v)
+            holds = condition_table(map_to_star(c.coord, v), n + 2)
             for loop in (0, 1):
                 for k in range(n + 2):
-                    # world 0 sees worlds 1..k, and itself when loop is set
-                    fr = Frame((((1 << k) - 1) << 1 | loop,) + (0,) * k)
-                    assert ok[loop][min(k, n)] == condition_holds_at(fr, 0, star), \
-                        (str(c.coord), loop, k)
+                    assert ok[loop][min(k, n)] == holds[loop][k], (str(c.coord), loop, k)
+
+
+def test_condition_table_saturates_at_n():
+    # every star coordinate's entry c = n stands for every k >= n
+    for v in range(4):
+        n = 1 << v
+        for c in enumerate_cmms(v):
+            star = map_to_star(c.coord, v)
+            capped, uncapped = condition_table(star, n), condition_table(star, n + 2)
+            for loop in (0, 1):
+                for k in (n, n + 1):
+                    assert capped[loop][n] == uncapped[loop][k], (str(star), loop, k)
 
 
 def test_structural_caps_agree_with_direct(rng):
@@ -219,7 +229,7 @@ def test_correspondence_refuses_over_the_cap_before_building_tables(
     def refuse(*args):
         raise AssertionError("table built for a refused check")
     monkeypatch.setattr(mmw.kripke, "type_table", refuse)
-    monkeypatch.setattr(mmw.kripke, "_condition_of_type", refuse)
+    monkeypatch.setattr(mmw.kripke, "condition_table", refuse)
     with pytest.raises(ValueError) as exc:
         correspondence_check(1, SystemCoord("D", 0, STAR), max_worlds, sample=sample)
     assert str(exc.value) == err
@@ -243,12 +253,28 @@ WRONG_STARS = [(SystemCoord("D", 0, STAR), SystemCoord("D", STAR, STAR)),
                (SystemCoord("D", STAR, STAR), SystemCoord("D", 0, STAR))]
 
 
+def _condition_at(fr, w, star):
+    """F(x, y) of ``star`` at world w of ``fr``, read off its successors.
+
+    An irreflexive world satisfies the C branch when it sees at most x
+    other worlds (the D plane adds "at least one"); a reflexive world
+    satisfies the W branch when it sees at most y others.  STAR removes
+    the upper bound and y = -1 makes the W branch unsatisfiable.
+    """
+    others = sum(fr.sees(w, u) for u in range(fr.size) if u != w)
+    if fr.sees(w, w):
+        return star.y == STAR or others <= star.y
+    lower = 1 if star.plane == "D" else 0
+    return others >= lower and (star.x == STAR or others <= star.x)
+
+
 def _reference_check(v, coord, star, max_worlds, sample=None, seed=0):
     """``correspondence_check``'s frames and violations, frame by frame.
 
-    Each frame is checked with ``valid_on_frame`` on the coordinate's
-    axiom and with ``frame_condition_holds`` on ``star``; the frames come
-    in the order ``correspondence_check`` draws them.
+    Each frame is checked by walking every valuation of the coordinate's
+    axiom (``_falsify``) and with ``_condition_at`` on ``star`` at every
+    world, neither through the world-type tables; the frames come in the
+    order ``correspondence_check`` draws them.
     """
     alpha = alpha_for(coord, v)
     rng = random.Random(seed)
@@ -262,8 +288,8 @@ def _reference_check(v, coord, star, max_worlds, sample=None, seed=0):
             rels = range(total)
         for rel in rels:
             fr = Frame.from_relation(size, rel)
-            valid = valid_on_frame(fr, alpha, v)
-            holds = frame_condition_holds(fr, star)
+            valid = _falsify(fr, alpha, v, 1 << v) is None
+            holds = all(_condition_at(fr, w, star) for w in range(fr.size))
             checked += 1
             if valid != holds:
                 violations.append({"worlds": size, "relation": rel,
