@@ -28,12 +28,10 @@ __version__ = "0.1.0"
 # lazy submodule -> the names the package exports from it
 _LAZY = {
     "minmatrix": ("ContextMismatchError", "Minmatrix", "normalize"),
-    "orbit": ("PrimeOrbit", "compute_orbits", "orbit_closed_form", "orbit_of"),
-    "substitution": ("Substitution", "apply_formula", "apply_minmatrix", "apply_minterm",
-                     "classify", "compose", "critical_substitution", "enumerate_primes",
-                     "identity", "is_prime"),
+    "orbit": (),
+    "substitution": ("Substitution", "apply_minmatrix", "classify", "critical_substitution"),
     "lattice": ("CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
-                "coverage", "enumerate_cmms", "map_to_star"),
+                "enumerate_cmms", "map_to_star"),
     "kripke": ("Frame", "Model", "correspondence_check", "eval_model", "find_countermodel",
                "valid_on_frame"),
     "axiom": ("alpha_D", "alpha_K", "alpha_prime_K", "named_systems", "system_of"),

@@ -1,8 +1,10 @@
 """Command-line surface: mmw <command> [flags].
 
 Exit codes: 0 success, 1 domain error (syntax, caps, bad coordinates,
-formulas nested too deeply), 2 internal consistency failure.  The
-environment variable MMW_UNIVERSE_CAP overrides the default context cap.
+formulas nested too deeply) or a reader that closed stdout early, 2
+internal consistency failure, a correspondence violation found by
+``frames``, or a usage error.  The environment variable MMW_UNIVERSE_CAP
+overrides the default context cap.
 
 The mmw modules past ``context`` and ``formula`` (which ``import mmw``
 runs anyway) are the package's lazy submodules, imported here once and

@@ -281,9 +281,10 @@ def correspondence_check(v: int, coord: lattice.SystemCoord, max_worlds: int = 3
     frames = sum(total if sample is None else min(total, sample) for total in totals)
     if frames > FRAME_CAP:
         raise ValueError(f"{frames} frames to check, over the cap {FRAME_CAP}")
-    n = 1 << v
+    cmm = lattice.cmm_from_coords(coord, v)     # refuses v before any 1 << v
+    n = cmm.ctx.n
     # bit 0 of a type's code: the axiom holds there; bit 1: the condition does
-    valid = type_table(lattice.cmm_from_coords(coord, v).orbits, n)
+    valid = type_table(cmm.orbits, n)
     holds = condition_table(lattice.map_to_star(coord, v), n)
     table = tuple(tuple(a | b << 1 for a, b in zip(va, ha))
                   for va, ha in zip(valid, holds))

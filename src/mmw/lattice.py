@@ -26,14 +26,13 @@ from . import substitution
 from ._record import Record
 from .context import Context, context
 from .minmatrix import Minmatrix
-from .orbit import (complete_orbits, coord_orbits, label_order, labels_of,
-                    orbit_masks, orbit_union, source_orbits)
+from .orbit import (complete_orbits, coord_orbits, labels_of, orbit_masks,
+                    orbit_union, source_orbits)
 
 __all__ = [
     "STAR", "SystemCoord", "CMM", "InternalConsistencyError", "collapse",
-    "cmm_of", "cmm_from_coords", "coord_of", "enumerate_cmms", "coverage",
-    "dependency_rules_hold", "build_hasse", "HasseDiagram", "map_to_star",
-    "surviving_orbit_sums",
+    "cmm_of", "cmm_from_coords", "coord_of", "enumerate_cmms", "build_hasse",
+    "HasseDiagram", "map_to_star", "surviving_orbit_sums",
 ]
 
 STAR = "*"
@@ -222,81 +221,31 @@ def enumerate_cmms(v: int) -> list[CMM]:
     return out
 
 
-def coverage(ctx: Context, label_i: str, label_j: str,
-             s: substitution.Substitution) -> str:
-    """Orbit coverage under s: 'none', 'partial' or 'full'."""
-    if ctx != context(s.v, 1):
-        raise ValueError(f"coverage under a substitution on {s.v} variables "
-                         f"is read in K[{s.v},1]")
-    order = label_order(ctx.n)
-    return ("none", "partial", "full")[
-        substitution.coverage_key(s)[order.index(label_i)][order.index(label_j)]]
-
-
-def dependency_rules_hold(labels: set[str] | frozenset[str] | list[str], n: int) -> bool:
-    """DR1-DR3 on orbit labels: the test oracle for the non-collapsing sets.
-
-    DR1: a non-empty set includes Vv0 or Dd0.  DR2: Dw_k needs Dd0 and
-    every lower Dw.  DR3: Dc_k needs Dd0, every lower Dc, and every Dw
-    below k.
-    """
-    if not labels:
-        return True
-    if "Vv0" not in labels and "Dd0" not in labels:
-        return False
-    for lbl in labels:
-        if lbl in ("Vv0", "Dd0"):
-            continue
-        k = int(lbl[2:])
-        if "Dd0" not in labels:
-            return False
-        if lbl.startswith("Dw"):
-            if any(f"Dw{l}" not in labels for l in range(1, k)):
-                return False
-        else:
-            if any(f"Dc{l}" not in labels for l in range(1, k)):
-                return False
-            if any(f"Dw{l}" not in labels for l in range(1, k)):
-                return False
-    return True
-
-
-def surviving_orbit_sums(v: int, subs=None) -> list[int]:
-    """Orbit sets whose union is a collapse fixpoint under ``subs``.
+def surviving_orbit_sums(v: int) -> list[int]:
+    """Orbit sets whose union is a fixpoint of the default ``collapse``.
 
     The census behind the lattice: of the 2**(2n) candidate orbit sums,
     exactly the orbit sets of the coordinate CMMs survive.  Sets come by
     size, then in ``itertools.combinations`` order of their positions.
 
-    With the default set an orbit sum is a fixpoint iff each of its orbits
-    is covered for the pattern of its two predecessors (``_covers``, read
-    off the critical substitution, so it checks the default ``collapse``,
-    which applies none), and a depth-first walk in label order decides
-    orbit j as soon as it is added and reaches only survivors.  With
-    explicit ``subs`` each of the 2**(2n) sums is tested:
-    m is a fixpoint iff no substitution shrinks it, m & (m o sigma) == m
-    for every sigma, so the test stops at the first sigma that does.
+    An orbit sum is a fixpoint iff each of its orbits is covered for the
+    pattern of its two predecessors (``_covers``, read off the critical
+    substitution, so it checks the default ``collapse``, which applies
+    none), and a depth-first walk in label order decides orbit j as soon
+    as it is added and reaches only survivors.
     """
     found = []
-    if subs is None:
-        size = 2 * context(v, 0).n      # builds no K[v,1], so runs past its cap
-        patterns = _cover_patterns(v)
-        stack = [(0, 0)]               # (next orbit to decide, kept so far)
-        while stack:
-            j, keep = stack.pop()
-            if j == size:
-                found.append(keep)
-                continue
-            stack.append((j + 1, keep))
-            if _covers(keep, j, patterns):
-                stack.append((j + 1, keep | 1 << j))
-    else:
-        ctx = context(v, 1)
-        size = 2 * ctx.n
-        for keep in range(1 << size):
-            m = orbit_union(ctx, keep)
-            if all(m & substitution.apply_minmatrix(m, s) == m for s in subs):
-                found.append(keep)
+    size = 2 * context(v, 0).n          # builds no K[v,1], so runs past its cap
+    patterns = _cover_patterns(v)
+    stack = [(0, 0)]                    # (next orbit to decide, kept so far)
+    while stack:
+        j, keep = stack.pop()
+        if j == size:
+            found.append(keep)
+            continue
+        stack.append((j + 1, keep))
+        if _covers(keep, j, patterns):
+            stack.append((j + 1, keep | 1 << j))
     found.sort(key=lambda keep: (keep.bit_count(),
                                  [k for k in range(size) if keep >> k & 1]))
     return found

@@ -114,11 +114,6 @@ class Minmatrix(Record):
         assert node is not None
         return node
 
-    def promote_v(self) -> "Minmatrix":
-        """The equiprovable minmatrix in the successor context K[v+1,d]."""
-        target = context(self.ctx.v + 1, self.ctx.d)
-        return normalize(self.to_formula(), target)
-
     def to_json(self, include_hex: bool = False) -> dict:
         doc: dict = {"v": self.ctx.v, "d": self.ctx.d,
                      "minterms": list(self.members())}

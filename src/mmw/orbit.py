@@ -25,7 +25,6 @@ at the first orbit a run leaves out; reading every mask through
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
 
 from ._record import Record
 from .context import Context, DegreeError, index_bit_mask
@@ -250,9 +249,3 @@ def labels_of(keep: int, n: int) -> list[str]:
     """Labels of the orbits in the set ``keep`` of K[v,1] (n = 2**v), in label order."""
     return [lbl for k, lbl in enumerate(label_order(n)) if keep >> k & 1]
 
-
-def expected_size(label: str, n: int) -> int:
-    """n * C(n-1, k) members: k from the label, with the 0 conventions."""
-    if label in ("Vv0", "Dd0"):
-        return n
-    return n * comb(n - 1, int(label[2:]))

@@ -1,4 +1,4 @@
-"""Level-0 uniform substitutions, their monoid, primes, and classification.
+"""Level-0 uniform substitutions, their action, primes, and classification.
 
 A substitution is stored as its level-0 map: the self-map ``g`` of
 ``[0, n)``, ``n = 2**v``, sending each level-0 minterm (as an assignment)
@@ -34,15 +34,13 @@ from __future__ import annotations
 from itertools import permutations, product
 from math import factorial
 
-from . import formula as fm
 from ._record import Record
 from .context import Context, DegreeError, context
 from .minmatrix import Minmatrix
 from .orbit import source_orbits
 
 __all__ = [
-    "Substitution", "identity", "compose", "apply_formula", "apply_minterm",
-    "apply_minmatrix", "is_prime", "enumerate_primes",
+    "Substitution", "apply_minmatrix", "enumerate_primes",
     "critical_substitution", "all_substitutions",
     "DependencyClass", "classify",
 ]
@@ -87,32 +85,6 @@ class Substitution(Record):
         return tuple(sum((j >> (v - 1 - k) & 1) << i for i, j in enumerate(self.g))
                      for k in range(v))
 
-    def formula_for(self, k: int) -> fm.Formula:
-        """sigma_k materialized as the DNF formula of its truth table."""
-        return Minmatrix(context(self.v, 0), self.tables[k]).to_formula()
-
-
-def identity(v: int) -> Substitution:
-    return Substitution(v, range(1 << v))
-
-
-def compose(a: Substitution, b: Substitution) -> Substitution:
-    """The substitution acting as ``a`` first, then ``b``.
-
-    Its level-0 map is ``a.g`` after ``b.g``, so phi o (ab) = (phi o a) o b.
-    """
-    if a.v != b.v:
-        raise ValueError(f"arity mismatch: {a.v} vs {b.v}")
-    return Substitution(a.v, [a.g[j] for j in b.g])
-
-
-def apply_formula(f: fm.Formula, s: Substitution) -> fm.Formula:
-    """Syntactic substitution: replace each variable by its DNF formula."""
-    if fm.variables(f) > s.v:
-        raise ValueError("formula uses more variables than the substitution")
-    reps = {k: s.formula_for(k) for k in range(s.v)}
-    return fm.substitute(f, reps.__getitem__)
-
 
 def _source_map(ctx: Context, s: Substitution) -> tuple[tuple[int, ...], list[int]]:
     """(g, img): phi_s sends a minterm (j, e) to (g[j], img[e]).
@@ -147,16 +119,6 @@ def apply_minmatrix(m: Minmatrix, s: Substitution) -> Minmatrix:
             rows[i] = sum(1 << e for e, x in enumerate(img) if (row >> x) & 1)
         bits |= rows[i] << (j << shift)
     return Minmatrix(ctx, bits)
-
-
-def apply_minterm(ctx: Context, index: int, s: Substitution) -> Minmatrix:
-    """The minmatrix of (minterm index) o s: the fibre phi_s^-1(index)."""
-    return apply_minmatrix(Minmatrix.from_indices(ctx, (index,)), s)
-
-
-def is_prime(s: Substitution) -> bool:
-    """True iff the substitution is invertible (maps minterms bijectively)."""
-    return len(set(s.g)) == s.n
 
 
 def enumerate_primes(v: int) -> tuple[Substitution, ...]:

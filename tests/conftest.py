@@ -4,9 +4,9 @@ import pytest
 
 from mmw import formula as fm
 from mmw.context import context
-from mmw.lattice import surviving_orbit_sums
 from mmw.minmatrix import Minmatrix
 from mmw.substitution import Substitution, all_substitutions
+from oracles import census_under
 
 
 def random_formula(rng: random.Random, v: int, depth: int = 4,
@@ -54,4 +54,4 @@ def exhaustive_census():
     The v=2 census closes 256 orbit sums under all 256 substitutions and
     is the slowest computation in the default suite; two tests share it.
     """
-    return {v: surviving_orbit_sums(v, all_substitutions(v)) for v in (1, 2)}
+    return {v: census_under(v, all_substitutions(v)) for v in (1, 2)}

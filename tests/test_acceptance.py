@@ -9,18 +9,18 @@ import random
 from itertools import combinations
 
 from conftest import random_formula, random_minmatrix, random_substitution
+from oracles import compose, dependency_rules_hold, expected_size
 
 from mmw.axiom import (AxiomVariant, alpha_for, alpha_K, alpha_prime_K,
                        named_systems, variant_collapse)
 from mmw.context import context
 from mmw.formula import Implies, parse
 from mmw.kripke import correspondence_check, type_table
-from mmw.lattice import (SystemCoord, cmm_from_coords, collapse, coverage,
-                         dependency_rules_hold, enumerate_cmms)
+from mmw.lattice import SystemCoord, cmm_from_coords, collapse, enumerate_cmms
 from mmw.minmatrix import Minmatrix, normalize
-from mmw.orbit import (complete_orbits, compute_orbits, expected_size, label_order,
+from mmw.orbit import (complete_orbits, compute_orbits, label_order,
                        labels_of, orbit_closed_form)
-from mmw.substitution import (apply_minmatrix, classify, compose,
+from mmw.substitution import (apply_minmatrix, classify, coverage_key,
                               critical_substitution, enumerate_primes)
 
 K11 = context(1, 1)
@@ -96,15 +96,15 @@ def test_criterion_5_dependency_rules():
                 assert dependency_rules_hold(frozenset(combo), n) == \
                     (frozenset(combo) in coords)
     for v in (1, 2, 3):
-        ctx = context(v, 1)
-        crit = critical_substitution(v)
-        for j in label_order(ctx.n):
-            assert coverage(ctx, "Vv0", j, crit) == \
-                ("full" if j == "Vv0" else "none")
-        assert coverage(ctx, "Dd0", "Dd0", crit) == "full"
-        spill = "partial" if v >= 2 else "full"
-        assert coverage(ctx, "Dd0", "Dw1", crit) == spill
-        assert coverage(ctx, "Dd0", "Dc1", crit) == spill
+        # coverage_key entries: 0 none, 1 partial, 2 full, in label order
+        labels = label_order(1 << v)
+        key = coverage_key(critical_substitution(v))
+        vv, dd = (dict(zip(labels, key[labels.index(i)])) for i in ("Vv0", "Dd0"))
+        assert vv == {j: 2 if j == "Vv0" else 0 for j in labels}
+        assert dd["Dd0"] == 2
+        spill = 1 if v >= 2 else 2
+        assert dd["Dw1"] == spill
+        assert dd["Dc1"] == spill
     print("ACCEPTANCE 5 PASS: DR1-DR3 characterize exactly the n(n+3) "
           "orbit sets; critical coverage facts hold (spillover is partial "
           "once the context has more than two sections)")

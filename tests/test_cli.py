@@ -199,6 +199,12 @@ def test_classify_negative_v_exits_cleanly(capsys):
     assert (code, out, err) == (1, "", "error: v and d must be non-negative\n")
 
 
+def test_frames_negative_v_exits_cleanly(capsys):
+    code, out, err = run(capsys, "frames", "--correspondence", "--v", "-1",
+                         "--plane", "K", "--x", "0", "--y", "0")
+    assert (code, out, err) == (1, "", "error: v and d must be non-negative\n")
+
+
 def test_classify_v3_reduced(capsys):
     code, out, _ = run(capsys, "classify", "--v", "3")
     doc = json.loads(out)
@@ -409,8 +415,8 @@ def test_context_function_shadows_its_module():
     assert fresh("import mmw; print(isinstance(mmw.context(2, 1), mmw.Context))") == "True"
 
 
-# Every name ``mmw`` exports from its submodules: those it exported when it
-# imported them eagerly, less the function form of ``Minmatrix.is_theorem_K``.
+# Every name ``mmw`` exports from its submodules: the pipeline's, and none
+# of the oracles in tests/oracles.py.
 EXPORTS = {
     "context": ["CapExceededError", "Context", "DegreeError", "context", "enumerate_E"],
     "formula": ["Formula", "FormulaSyntaxError", "modal_degree", "parse", "render",
@@ -418,12 +424,10 @@ EXPORTS = {
     "kripke": ["Frame", "Model", "correspondence_check", "eval_model", "find_countermodel",
                "valid_on_frame"],
     "lattice": ["CMM", "STAR", "SystemCoord", "build_hasse", "cmm_from_coords", "collapse",
-                "coverage", "enumerate_cmms", "map_to_star"],
+                "enumerate_cmms", "map_to_star"],
     "minmatrix": ["ContextMismatchError", "Minmatrix", "normalize"],
-    "orbit": ["PrimeOrbit", "compute_orbits", "orbit_closed_form", "orbit_of"],
-    "substitution": ["Substitution", "apply_formula", "apply_minmatrix", "apply_minterm",
-                     "classify", "compose", "critical_substitution", "enumerate_primes",
-                     "identity", "is_prime"],
+    "orbit": [],
+    "substitution": ["Substitution", "apply_minmatrix", "classify", "critical_substitution"],
     "axiom": ["alpha_D", "alpha_K", "alpha_prime_K", "named_systems", "system_of"],
 }
 
@@ -437,6 +441,24 @@ def test_every_exported_name_resolves():
         " if getattr(mmw, name, None) is not getattr(importlib.import_module('mmw.' + mod), name)]"
         " + [mod for mod in exports if mod != 'context'"
         " and getattr(mmw, mod, None) is not importlib.import_module('mmw.' + mod)])") == "[]"
+
+
+# Oracles that live in tests/oracles.py, and the wrappers deleted beside
+# them: no module of the package names or defines them.
+TEST_ONLY = {"identity", "compose", "apply_formula", "formula_for", "apply_minterm",
+             "is_prime", "coverage", "dependency_rules_hold", "expected_size", "promote_v"}
+
+
+def test_module_exports_are_current():
+    import importlib
+    import pkgutil
+    modules = [mmw] + [importlib.import_module(f"mmw.{info.name}")
+                       for info in pkgutil.iter_modules(mmw.__path__)]
+    for module in modules:
+        names = getattr(module, "__all__", ())      # mmw's includes every _LAZY name
+        assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+        assert not TEST_ONLY & {*names, *dir(module)}, module.__name__
+    assert not TEST_ONLY & {*dir(mmw.Minmatrix), *dir(mmw.Substitution)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,6 +486,8 @@ def test_deep_formula_exits_cleanly(argv):
     ("axiom", "--plane", "K", "--x", "0", "--y", "0", "--v", "999999999999"),
     ("collapse", "--v", "999999999999", "p"),
     ("orbits", "--v", "999999999999"),
+    ("frames", "--correspondence", "--v", "999999999999", "--plane", "K", "--x", "0",
+     "--y", "0"),
 ])
 def test_huge_variable_index_exits_cleanly(argv):
     # 1 << 999999999999 would take ~125 GB; the child's address space is

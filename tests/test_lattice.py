@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_minmatrix
+from oracles import census_under, dependency_rules_hold, identity
 from test_substitution import reference_apply, reference_minterm_images
 
 import mmw.lattice
@@ -14,11 +15,10 @@ from mmw.minmatrix import Minmatrix, normalize
 from mmw.formula import parse
 from mmw.lattice import (CMM, STAR, InternalConsistencyError, SystemCoord,
                          build_hasse, cmm_from_coords, cmm_of, collapse, coord_of,
-                         coverage, dependency_rules_hold, enumerate_cmms, map_to_star,
-                         surviving_orbit_sums)
+                         enumerate_cmms, map_to_star, surviving_orbit_sums)
 from mmw.orbit import (complete_orbits, coord_orbits, images_under, label_order,
                        labels_of, orbit_map, orbit_masks, orbit_union, source_orbits)
-from mmw.substitution import (Substitution, all_substitutions,
+from mmw.substitution import (Substitution, all_substitutions, coverage_key,
                               critical_substitution, enumerate_primes)
 
 K11 = context(1, 1)
@@ -353,7 +353,7 @@ def test_first_variable_transplant_is_too_weak():
     broken = om["Dd0"] | om["Dw1"] | om["Dw3"]
     assert collapse(broken, subs) == broken          # spurious fixpoint
     assert collapse(broken).bits != broken.bits       # the real default trims it
-    survivors = surviving_orbit_sums(2, subs)
+    survivors = census_under(2, subs)
     assert len(survivors) == 54                       # 28 real + 26 spurious
 
 
@@ -397,7 +397,7 @@ def test_survival_pass_matches_collapse_filter():
         for subs in (all_substitutions(v),
                      list(enumerate_primes(v)) + [critical_substitution(v)]):
             want = [keep for keep, m in orbit_sums(v) if collapse(m, subs) == m]
-            assert surviving_orbit_sums(v, subs) == want
+            assert census_under(v, subs) == want
 
 
 def test_default_census_matches():
@@ -519,27 +519,20 @@ def test_coord_of_rejects_non_coordinates():
 
 
 def test_coverage_identity_and_critical():
-    from mmw.substitution import identity
+    # coverage_key entries: 0 none, 1 partial, 2 full, in label order
     for v in (1, 2, 3):
-        ctx = context(v, 1)
-        crit = critical_substitution(v)
-        labels = label_order(ctx.n)
-        for j in labels:
-            assert coverage(ctx, "Vv0", j, crit) == ("full" if j == "Vv0" else "none")
-        dd_row = {j: coverage(ctx, "Dd0", j, crit) for j in labels}
-        assert dd_row["Dd0"] == "full"
+        labels = label_order(1 << v)
+        crit = dict(zip(labels, coverage_key(critical_substitution(v))))
+        assert crit["Vv0"] == tuple(2 if j == "Vv0" else 0 for j in labels)
+        dd_row = dict(zip(labels, crit["Dd0"]))
+        assert dd_row["Dd0"] == 2
         # with more than two sections the spillover coverage is partial
-        want = "partial" if v >= 2 else "full"
+        want = 1 if v >= 2 else 2
         assert dd_row["Dw1"] == want and dd_row["Dc1"] == want
-        assert all(c == "none" for j, c in dd_row.items()
+        assert all(c == 0 for j, c in dd_row.items()
                    if j not in ("Dd0", "Dw1", "Dc1"))
-        for i in labels:
-            for j in labels:
-                assert coverage(ctx, i, j, identity(v)) == \
-                    ("full" if i == j else "none")
-    for ctx in (context(2, 1), context(1, 0)):
-        with pytest.raises(ValueError):
-            coverage(ctx, "Dd0", "Dd0", critical_substitution(1))
+        assert coverage_key(identity(v)) == tuple(
+            tuple(2 if i == j else 0 for j in labels) for i in labels)
 
 
 def test_map_to_star():

@@ -3,12 +3,13 @@ from math import comb
 import pytest
 
 from conftest import random_minmatrix
+from oracles import expected_size
 
 from mmw.context import DegreeError, context
 from mmw.minmatrix import Minmatrix
-from mmw.orbit import (compute_orbits, coord_orbits, display_label,
-                       expected_size, label_order, orbit_closed_form, orbit_map,
-                       orbit_masks, orbit_of, orbit_position)
+from mmw.orbit import (compute_orbits, coord_orbits, display_label, label_order,
+                       orbit_closed_form, orbit_map, orbit_masks, orbit_of,
+                       orbit_position)
 from mmw.substitution import apply_minmatrix, enumerate_primes
 
 K11 = context(1, 1)

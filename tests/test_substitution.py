@@ -6,16 +6,15 @@ from itertools import permutations
 import pytest
 
 from conftest import random_formula, random_minmatrix, random_substitution
+from oracles import apply_formula, compose, formula_for, identity
 
 from mmw.context import DegreeError, context
 from mmw.formula import Diamond, Const0, parse
 from mmw.minmatrix import Minmatrix, normalize
 from mmw.orbit import images_under, orbit_masks, orbit_position
-from mmw.substitution import (Substitution, all_substitutions,
-                              apply_formula, apply_minmatrix, apply_minterm,
-                              classify, compose, coverage_key,
-                              critical_substitution, enumerate_primes, identity,
-                              _partitions, _source_map, is_prime)
+from mmw.substitution import (Substitution, all_substitutions, apply_minmatrix,
+                              classify, coverage_key, critical_substitution,
+                              enumerate_primes, _partitions, _source_map)
 
 K11 = context(1, 1)
 K21 = context(2, 1)
@@ -145,21 +144,24 @@ def test_apply_formula_matches_minmatrix_action(rng):
 
 def test_apply_minterm_identity():
     for idx in range(K11.universe_size):
-        assert apply_minterm(K11, idx, identity(1)).members() == (idx,)
+        m = Minmatrix.from_indices(K11, (idx,))
+        assert apply_minmatrix(m, identity(1)).members() == (idx,)
 
 
 def test_apply_minterm_examples():
     pz = sub_from_formulas(1, "0")
-    assert apply_minterm(K11, 2, pz).bits == 0       # forced <>0
+    m2, m7 = Minmatrix.from_indices(K11, (2,)), Minmatrix.from_indices(K11, (7,))
+    assert apply_minmatrix(m2, pz).bits == 0       # forced <>0
     neg = sub_from_formulas(1, "!p")
-    assert apply_minterm(K11, 7, neg).members() == (3,)
+    assert apply_minmatrix(m7, neg).members() == (3,)
 
 
 def test_apply_minmatrix_matches_mask_walk(rng):
     for ctx, s, images in engine_cases(rng):
         size = ctx.universe_size
         for idx in rng.sample(range(size), min(8, size)):
-            assert apply_minterm(ctx, idx, s).bits == images[idx]
+            m = Minmatrix.from_indices(ctx, (idx,))
+            assert apply_minmatrix(m, s).bits == images[idx]
         for _ in range(40):
             bits = rng.getrandbits(size)
             if rng.random() < 0.5:      # sparse, so single fibres show
@@ -225,7 +227,7 @@ def test_coverage_key_matches_mask_key(rng):
 
 def test_apply_minterm_degree_guard():
     with pytest.raises(DegreeError):
-        apply_minterm(context(1, 2), 0, identity(1))
+        apply_minmatrix(Minmatrix.from_indices(context(1, 2), (0,)), identity(1))
 
 
 def test_apply_minmatrix_fixed_points():
@@ -256,10 +258,11 @@ def test_us12_disjoint_images(rng):
 
 
 def test_prime_detection():
-    assert is_prime(identity(1))
-    assert is_prime(sub_from_formulas(1, "!p"))
-    assert not is_prime(sub_from_formulas(1, "0"))
-    assert is_prime(sub_from_formulas(2, "p<->q", "p"))
+    # a prime maps the level-0 minterms bijectively
+    for s, prime in ((identity(1), True), (sub_from_formulas(1, "!p"), True),
+                     (sub_from_formulas(1, "0"), False),
+                     (sub_from_formulas(2, "p<->q", "p"), True)):
+        assert (len(set(s.g)) == s.n) == prime
 
 
 def test_prime_counts():
@@ -304,7 +307,7 @@ def test_tables_and_level0_map_agree(rng):
         ctx0 = context(s.v, 0)
         assert Substitution.from_tables(s.v, s.tables) == s
         for k in range(s.v):
-            assert normalize(s.formula_for(k), ctx0).bits == s.tables[k]
+            assert normalize(formula_for(s, k), ctx0).bits == s.tables[k]
 
 
 APPENDIX_PRIMES_V2 = [
@@ -327,7 +330,8 @@ def test_primes_v2_match_published_table():
 
 def test_primes_are_minterm_bijections():
     for s in enumerate_primes(2):
-        images = [apply_minterm(K21, i, s) for i in range(K21.universe_size)]
+        images = [apply_minmatrix(Minmatrix.from_indices(K21, (i,)), s)
+                  for i in range(K21.universe_size)]
         assert all(m.count == 1 for m in images)
         assert len({m.bits for m in images}) == K21.universe_size
 
@@ -338,7 +342,7 @@ def test_critical_substitution_values():
     assert c2.g == (0, 1, 2, 2)
     c3 = critical_substitution(3)
     assert c3.g == (0, 1, 2, 3, 4, 5, 6, 6)
-    assert not is_prime(c2)
+    assert len(set(c2.g)) < c2.n
     with pytest.raises(ValueError):
         critical_substitution(0)
 
@@ -346,7 +350,8 @@ def test_critical_substitution_values():
 def test_classify_v1():
     classes = classify(1, "exhaustive")
     assert sorted(c.size for c in classes) == [2, 2]
-    nonprime = next(c for c in classes if not is_prime(c.representative))
+    nonprime = next(c for c in classes
+                    if len(set(c.representative.g)) < c.representative.n)
     members = {s for s in all_substitutions(1)
                if coverage_key(s) == nonprime.key}
     assert members == {sub_from_formulas(1, "0"), sub_from_formulas(1, "1")}
@@ -392,9 +397,15 @@ import gc, os, tracemalloc
 tracemalloc.start()
 import mmw
 from mmw.lattice import collapse, enumerate_cmms, surviving_orbit_sums
-from mmw.substitution import all_substitutions, classify, enumerate_primes
+from mmw.orbit import orbit_union
+from mmw.substitution import (all_substitutions, apply_minmatrix, classify,
+                              enumerate_primes)
 classify(3, "reduced")
-surviving_orbit_sums(2, all_substitutions(2))
+def census(ctx, subs):
+    for keep in range(1 << 2 * ctx.n):
+        m = orbit_union(ctx, keep)
+        [m & apply_minmatrix(m, s) == m for s in subs]
+census(mmw.context(2, 1), all_substitutions(2))
 surviving_orbit_sums(3)
 for c in enumerate_cmms(3):
     collapse(c.matrix)
@@ -407,12 +418,14 @@ print(sum(stat.size for stat in snapshot.statistics("filename")))
 
 
 def test_substitution_work_leaves_little_memory_held():
-    # nothing is cached per substitution: after classify(3), the exhaustive
-    # v=2 census (all 256 substitutions), the default v=3 census, the
-    # default collapse of every v=3 CMM and the 40,320 v=3 primes, mmw's
-    # own allocations that are still alive (import-time tables, ~160 KiB,
-    # included) stay under 256 KiB.  The work stays at v <= 3: the K[4,1]
-    # orbit masks and context masks alone hold ~7 MiB.
+    # nothing is cached per substitution: after classify(3), all 256 v=2
+    # substitutions applied to each of the 256 v=2 orbit sums (the
+    # exhaustive census, written out: the child cannot import the tests'
+    # oracles), the default v=3 census, the default collapse of every v=3
+    # CMM and the 40,320 v=3 primes, mmw's own allocations that are still
+    # alive (import-time tables, ~160 KiB, included) stay under 256 KiB.
+    # The work stays at v <= 3: the K[4,1] orbit masks and context masks
+    # alone hold ~7 MiB.
     from test_cli import subprocess_env
     proc = subprocess.run([sys.executable, "-c", MEMORY_SCRIPT],
                           env=subprocess_env(), capture_output=True, text=True,
